@@ -4,6 +4,13 @@ coeffs[i] is the coefficient of x^i.  Every Poly is normalized: the last
 stored coefficient is nonzero, and the zero polynomial stores nothing at
 all.  Its degree is the MINUS_INF sentinel rather than any integer, so a
 degree comparison can never confuse the zero polynomial with a constant.
+
+Multiplication, division, evaluation and scaling have two paths.  On a
+plain Field they index its log/antilog tables inline and skip zero
+operands.  Any other field context, such as the workbench's CountingField,
+takes the reference loops, which route every product through field.mul
+and every inversion through field.inv so that a wrapper sees them all.
+Both paths give bit-identical results.
 """
 
 from __future__ import annotations
@@ -89,12 +96,22 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly._make(self.field, [])
-        fmul = self.field.mul
+        f = self.field
         out = [0] * (len(a) + len(b) - 1)
+        if type(f) is Field:
+            exp, log = f._exp, f._log
+            b_logs = [(j, log[bj]) for j, bj in enumerate(b) if bj]
+            for i, ai in enumerate(a):
+                if ai:
+                    la = log[ai]
+                    for j, lb in b_logs:
+                        out[i + j] ^= exp[la + lb]
+            return Poly._make(f, out)
+        fmul = f.mul
         for i, ai in enumerate(a):
             for j, bj in enumerate(b):
                 out[i + j] ^= fmul(ai, bj)
-        return Poly._make(self.field, out)
+        return Poly._make(f, out)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Quotient and remainder; degree(remainder) < degree(other)."""
@@ -108,11 +125,27 @@ class Poly:
         if self.is_zero or dn < dd:
             return Poly._make(self.field, []), self
         f = self.field
-        fmul = f.mul
         rem = list(self.coeffs)
         den = other.coeffs
-        inv_lead = None if den[-1] == 1 else f.inv(den[-1])
         quot = [0] * (dn - dd + 1)
+        if type(f) is Field:
+            exp, log, n = f._exp, f._log, f.n
+            den_logs = [(j, log[c]) for j, c in enumerate(den[:dd]) if c]
+            # log of 1/lead, so log(cur / lead) = log(cur) + inv_lead_log
+            inv_lead_log = n - log[den[-1]]
+            for shift in range(dn - dd, -1, -1):
+                cur = rem[shift + dd]
+                if not cur:
+                    continue
+                lf = log[cur] + inv_lead_log
+                if lf >= n:
+                    lf -= n
+                quot[shift] = exp[lf]
+                for j, ld in den_logs:
+                    rem[shift + j] ^= exp[lf + ld]
+            return Poly._make(f, quot), Poly._make(f, rem[:dd])
+        fmul = f.mul
+        inv_lead = None if den[-1] == 1 else f.inv(den[-1])
         for shift in range(dn - dd, -1, -1):
             cur = rem[shift + dd]
             factor = cur if inv_lead is None else fmul(cur, inv_lead)
@@ -130,13 +163,30 @@ class Poly:
 
     def scale(self, c: int) -> Poly:
         """Product with the scalar c."""
-        fmul = self.field.mul
-        return Poly._make(self.field, [fmul(c, a) for a in self.coeffs])
+        f = self.field
+        if type(f) is Field:
+            if not c:
+                return Poly._make(f, [])
+            exp, log = f._exp, f._log
+            lc = log[c]
+            return Poly._make(f, [exp[lc + log[a]] if a else 0
+                                  for a in self.coeffs])
+        fmul = f.mul
+        return Poly._make(f, [fmul(c, a) for a in self.coeffs])
 
     def evaluate(self, at: int) -> int:
         """Value of the polynomial at a point, by Horner's rule."""
-        fmul = self.field.mul
+        f = self.field
         acc = 0
+        if type(f) is Field:
+            if not at:
+                return self.coeffs[0] if self.coeffs else 0
+            exp, log = f._exp, f._log
+            la = log[at]
+            for c in reversed(self.coeffs):
+                acc = exp[log[acc] + la] ^ c if acc else c
+            return acc
+        fmul = f.mul
         for c in reversed(self.coeffs):
             acc = fmul(acc, at) ^ c
         return acc

@@ -5,7 +5,8 @@ A block file starts with one header line
     rs <n> <k> <m> <prim_poly_hex>
 
 followed by one line per block: n space-separated decimal symbols, with a
-literal ? marking an erased position.
+literal ? marking an erased position.  n, k, m and the symbols are ASCII
+digits only ([0-9]+): no sign, no digit separator, no other script.
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ ERASURE_MARK = "?"
 
 class BlockFormatError(ValueError):
     """Malformed block file content."""
+
+
+def _decimal(token: str) -> int:
+    """Value of an ASCII [0-9]+ token.
+
+    int() alone would also take '+5', '1_0' and non-ASCII digits such as
+    Arabic-Indic three.
+    """
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal number: {token!r}")
+    return int(token)
 
 
 def write_header(out: TextIO, params: CodeParams) -> None:
@@ -42,7 +54,7 @@ def read_header(line: str) -> CodeParams:
         raise BlockFormatError(
             f"expected header 'rs n k m prim_poly_hex', got {line.rstrip()!r}")
     try:
-        n, k, m = int(parts[1]), int(parts[2]), int(parts[3])
+        n, k, m = _decimal(parts[1]), _decimal(parts[2]), _decimal(parts[3])
         prim_poly = int(parts[4], 16)
     except ValueError as exc:
         raise BlockFormatError(f"bad header field: {exc}") from None
@@ -78,7 +90,7 @@ def read_blocks(handle: TextIO) -> tuple[CodeParams, list[ReceivedWord]]:
                 erasures.append(pos)
                 continue
             try:
-                value = int(token)
+                value = _decimal(token)
             except ValueError:
                 raise BlockFormatError(
                     f"line {lineno}: bad symbol {token!r}") from None
@@ -103,7 +115,7 @@ def read_messages(handle: TextIO, params: CodeParams) -> list[tuple[int, ...]]:
             raise BlockFormatError(
                 f"line {lineno}: expected {params.k} symbols, got {len(tokens)}")
         try:
-            values = [int(token) for token in tokens]
+            values = [_decimal(token) for token in tokens]
         except ValueError:
             raise BlockFormatError(f"line {lineno}: bad symbol") from None
         for value in values:

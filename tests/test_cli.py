@@ -202,3 +202,18 @@ def test_custom_field_flags(tmp_path, capsys):
     assert main(["decode", "--in", str(blocks), "--out", str(decoded)]) == 0
     assert read_lines(decoded) == ["1 2 3 4 5 6 7"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("token", ["+5", "0_3", "\u0663", "\uff13"])
+def test_non_ascii_decimal_tokens_are_rejected(tmp_path, token, capsys):
+    # int() reads each as a valid small number (the last two are the
+    # Arabic-Indic and fullwidth digit three); the format allows [0-9]+ only
+    block = write_lines(tmp_path / "block.txt",
+                        f"rs 7 3 3 0xb\n{token} 0 0 0 0 0 0\n")
+    assert main(["decode", "--in", block]) == 2
+    header = write_lines(tmp_path / "header.txt",
+                         f"rs 7 {token} 3 0xb\n0 0 0 0 0 0 0\n")
+    assert main(["decode", "--in", header]) == 2
+    message = write_lines(tmp_path / "message.txt", f"1 {token} 3\n")
+    assert main(["encode", "--m", "3", "--k", "3", "--in", message]) == 2
+    assert "error:" in capsys.readouterr().err
