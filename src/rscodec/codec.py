@@ -120,8 +120,7 @@ def encode(params: CodeParams, message) -> tuple[int, ...]:
     msg = tuple(message)
     if len(msg) != params.k:
         raise ValueError(f"message must have {params.k} symbols, got {len(msg)}")
-    for value in msg:
-        params.field.check_element(value)
+    # Poly() validates every symbol as a field element
     return evaluate_all(Poly(params.field, msg), params.n)
 
 
@@ -131,12 +130,28 @@ def erasure_locator(params: CodeParams, positions) -> Poly:
     pos_list = list(positions)
     if len(set(pos_list)) != len(pos_list):
         raise ValueError(f"duplicate erasure positions in {pos_list}")
-    locator = Poly.one(field)
     for pos in pos_list:
         if not 0 <= pos < params.n:
             raise ValueError(f"position {pos} is outside [0, {params.n})")
-        locator = locator * Poly._make(field, [field.alpha_pow(pos), 1])
-    return locator
+    if type(field) is not Field:
+        locator = Poly.one(field)
+        for pos in pos_list:
+            locator = locator * Poly._make(field, [field.alpha_pow(pos), 1])
+        return locator
+    # multiply by each (x + alpha^pos) in place; log(alpha^pos) = pos
+    exp, log = field._exp, field._log
+    coeffs = [1]
+    for pos in pos_list:
+        coeffs.append(coeffs[-1])
+        for i in range(len(coeffs) - 2, 0, -1):
+            c = coeffs[i]
+            if c:
+                coeffs[i] = coeffs[i - 1] ^ exp[log[c] + pos]
+            else:
+                coeffs[i] = coeffs[i - 1]
+        # the constant term is a product of nonzero roots
+        coeffs[0] = exp[log[coeffs[0]] + pos]
+    return Poly._make(field, coeffs)
 
 
 def _phase(counter, label: str):

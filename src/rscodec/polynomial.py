@@ -7,19 +7,77 @@ degree comparison can never confuse the zero polynomial with a constant.
 
 Multiplication, division, evaluation and scaling have two paths.  On a
 plain Field they index its log/antilog tables inline and skip zero
-operands.  Any other field context, such as the workbench's CountingField,
-takes the reference loops, which route every product through field.mul
-and every inversion through field.inv so that a wrapper sees them all.
-Both paths give bit-identical results.
+operands; a division by a divisor of at least ROW_KERNEL_MIN_LEN
+coefficients goes further and subtracts each quotient row as one numpy
+gather-and-XOR (divide_rows), which the key-equation solver shares.  Any
+other field context, such as the workbench's CountingField, takes the
+reference loops, which route every product through field.mul and every
+inversion through field.inv so that a wrapper sees them all.  Both paths
+give bit-identical results, as plain ints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import cache
+
+import numpy as np
 
 from .galois import Field
 
 MINUS_INF = float("-inf")
+
+# Shortest divisor, in coefficients, whose division rows run as numpy
+# gathers.  Below it a row is cheaper as an inline loop over the divisor's
+# nonzero terms than as a numpy call with its fixed cost of a few us.
+ROW_KERNEL_MIN_LEN = 32
+
+
+@cache
+def row_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Antilog and log tables of a plain Field as read-only intp arrays.
+
+    log maps 0 to 2n and exp is zero from 2n on, so exp[log a + e] is
+    a * alpha^e for every element a, zero included, and every index with
+    0 <= e < n stays below 3n.  Field hashes by (m, prim_poly), so each
+    field's tables are built once per process.
+    """
+    n = field.n
+    exp = np.zeros(3 * n, dtype=np.intp)
+    exp[:2 * n] = field._exp
+    log = np.array(field._log, dtype=np.intp)
+    log[0] = 2 * n
+    exp.flags.writeable = False
+    log.flags.writeable = False
+    return exp, log
+
+
+def divide_rows(field: Field, rem: np.ndarray, den_logs: np.ndarray) -> list[int]:
+    """Divide rem in place by the divisor whose coefficient logs are den_logs.
+
+    rem is an intp coefficient array at least as long as the divisor,
+    whose leading coefficient must be nonzero; den_logs comes from
+    row_tables' log, so zero coefficients map to 2n.  Returns the
+    quotient as a list of ints; afterwards rem[:len(den_logs) - 1] holds
+    the remainder and every higher entry is zero.
+    """
+    exp_rows = row_tables(field)[0]
+    exp, log, n = field._exp, field._log, field.n
+    dd = len(den_logs) - 1
+    # log of 1/lead, so log(cur / lead) = log(cur) + inv_lead_log
+    inv_lead_log = n - int(den_logs[dd])
+    quot = [0] * (len(rem) - dd)
+    for shift in range(len(rem) - dd - 1, -1, -1):
+        cur = rem.item(shift + dd)
+        if not cur:
+            continue
+        lf = log[cur] + inv_lead_log
+        if lf >= n:
+            lf -= n
+        quot[shift] = exp[lf]
+        # the divisor's lead clears rem[shift + dd] in the same row
+        rem[shift:shift + dd + 1] ^= exp_rows[den_logs + lf]
+    return quot
 
 
 class Poly:
@@ -125,8 +183,12 @@ class Poly:
         if self.is_zero or dn < dd:
             return Poly._make(self.field, []), self
         f = self.field
-        rem = list(self.coeffs)
         den = other.coeffs
+        if type(f) is Field and len(den) >= ROW_KERNEL_MIN_LEN:
+            rem = np.array(self.coeffs, dtype=np.intp)
+            quot = divide_rows(f, rem, row_tables(f)[1][list(den)])
+            return Poly._make(f, quot), Poly._make(f, rem[:dd].tolist())
+        rem = list(self.coeffs)
         quot = [0] * (dn - dd + 1)
         if type(f) is Field:
             exp, log, n = f._exp, f._log, f.n

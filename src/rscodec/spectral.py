@@ -20,6 +20,19 @@ Each direction has two paths, chosen by the field context:
                 the n x n table would grow past a few megabytes.
 
 The two paths are bit-exact, and both return plain ints.
+
+cyclotomic_quotient, Q = (x^n - 1) / locator, has two paths as well.  The
+dense kernel's field takes a closed form when n > ROW_KERNEL_MIN_LEN and
+1 <= deg(locator) < n.  Differentiating x^n - 1 = locator * Q gives
+x^(n-1) = locator' * Q at each root a = alpha^e of the locator, since
+locator(a) = 0 and n is odd, so
+
+    Q(alpha^e) = alpha^-e / locator'(alpha^e) = 1 / locator_odd(alpha^e)
+
+where locator_odd, the odd-degree terms, equals x * locator'.  Q vanishes
+at every other alpha^i, and deg Q < n, so Q is one inverse transform read
+over only the l root rows of the index table.  Everything else,
+CountingField included, takes the long division of x^n - 1.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from functools import cache
 import numpy as np
 
 from .galois import Field
-from .polynomial import Poly, xn_minus_one
+from .polynomial import ROW_KERNEL_MIN_LEN, Poly, row_tables, xn_minus_one
 
 # Largest m with a dense table: n x n uint16 entries, 2 MB at m = 10.
 DENSE_MAX_M = 10
@@ -41,21 +54,19 @@ def _dft_tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index, antilog and log tables for the dense kernel, all uint16.
 
     index[j, i] = i*j mod n; the table is symmetric, so row j serves
-    coefficient j.  log maps 0 to 2n and exp is zero from 2n on, so a zero
-    coefficient contributes exp[2n + (i*j mod n)] = 0 with no mask, and
-    every index stays below 3n.  Field hashes by (m, prim_poly), so the
-    tables for each field are built once per process.  They are shared
-    and therefore read-only.
+    coefficient j.  exp and log are row_tables' narrowed to uint16: log
+    maps 0 to 2n and exp is zero from 2n on, so a zero coefficient
+    contributes exp[2n + (i*j mod n)] = 0 with no mask, and every index
+    stays below 3n.  Field hashes by (m, prim_poly), so the tables for
+    each field are built once per process.  They are shared and therefore
+    read-only.
     """
     n = field.n
     powers = np.arange(n, dtype=np.uint32)
     index = np.empty((n, n), dtype=np.uint16)
     for j in range(n):  # row by row: no n x n temporary wider than uint16
         index[j] = powers * j % n
-    exp = np.zeros(3 * n, dtype=np.uint16)
-    exp[:2 * n] = field._exp
-    log = np.array(field._log, dtype=np.uint16)
-    log[0] = 2 * n
+    exp, log = (table.astype(np.uint16) for table in row_tables(field))
     for table in (index, exp, log):
         table.flags.writeable = False
     return index, exp, log
@@ -150,7 +161,37 @@ def cyclotomic_quotient(erasure_locator: Poly, n: int) -> Poly:
     field = erasure_locator.field
     if n != field.n:
         raise ValueError(f"n must be {field.n} for GF(2^{field.m}), got {n}")
+    # the closed form's fixed numpy cost pays off from n = 63 (m = 6) on
+    if (_uses_dense_kernel(field) and n > ROW_KERNEL_MIN_LEN
+            and 1 <= erasure_locator.degree < n):
+        return _closed_form_quotient(erasure_locator)
     quot, rem = divmod(xn_minus_one(field, n), erasure_locator)
     if not rem.is_zero:
         raise ValueError("locator does not divide x^n - 1")
     return quot
+
+
+def _closed_form_quotient(locator: Poly) -> Poly:
+    """(x^n - 1) / locator through its values, for 1 <= degree < n.
+
+    Q = (x^n - 1) / locator vanishes at every alpha^i that is not a root
+    of the locator, and at a root a it is 1 / locator_odd(a), where
+    locator_odd holds the odd-degree terms (see the module docstring).
+    deg Q < n, so one sparse inverse transform over the root rows gives Q.
+    """
+    field = locator.field
+    n = field.n
+    index, exp, log = _dft_tables(field)
+    c = np.array(locator.coeffs, dtype=np.uint16)
+    terms = exp[index[:len(c)] + log[c][:, None]]  # terms[j, i] = c_j alpha^(ij)
+    even = np.bitwise_xor.reduce(terms[0::2], axis=0)
+    odd = np.bitwise_xor.reduce(terms[1::2], axis=0)
+    roots = np.flatnonzero(even == odd)
+    if len(roots) != len(c) - 1:
+        # fewer distinct roots than its degree: not a product of (x - alpha^e)
+        raise ValueError("locator does not divide x^n - 1")
+    # log Q(alpha^e) = -log odd(alpha^e); coefficient j is
+    # sum_e Q(alpha^e) alpha^(-ej), read from index row (-e) mod n
+    value_logs = (n - log[odd[roots]]) % n
+    rows = index[(n - roots) % n] + value_logs[:, None]
+    return Poly._make(field, np.bitwise_xor.reduce(exp[rows], axis=0).tolist())

@@ -7,10 +7,13 @@ A block file starts with one header line
 followed by one line per block: n space-separated decimal symbols, with a
 literal ? marking an erased position.  n, k, m and the symbols are ASCII
 digits only ([0-9]+): no sign, no digit separator, no other script.
+prim_poly_hex is ASCII hex digits, optionally after the 0x that
+write_header puts there ((0x)?[0-9A-Fa-f]+).
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence
 from typing import TextIO
 
@@ -35,6 +38,21 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
+_HEX_TOKEN = re.compile(r"(?:0x)?([0-9A-Fa-f]+)")
+
+
+def _hex(token: str) -> int:
+    """Value of a (0x)?[0-9A-Fa-f]+ token.
+
+    int(token, 16) alone would also take '+11D', '1_1D', '0X11D' and
+    non-ASCII digits.
+    """
+    match = _HEX_TOKEN.fullmatch(token)
+    if match is None:
+        raise ValueError(f"not a hex number: {token!r}")
+    return int(match.group(1), 16)
+
+
 def write_header(out: TextIO, params: CodeParams) -> None:
     field = params.field
     out.write(f"rs {params.n} {params.k} {field.m} 0x{field.prim_poly:x}\n")
@@ -55,7 +73,7 @@ def read_header(line: str) -> CodeParams:
             f"expected header 'rs n k m prim_poly_hex', got {line.rstrip()!r}")
     try:
         n, k, m = _decimal(parts[1]), _decimal(parts[2]), _decimal(parts[3])
-        prim_poly = int(parts[4], 16)
+        prim_poly = _hex(parts[4])
     except ValueError as exc:
         raise BlockFormatError(f"bad header field: {exc}") from None
     try:

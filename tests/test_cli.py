@@ -217,3 +217,26 @@ def test_non_ascii_decimal_tokens_are_rejected(tmp_path, token, capsys):
     message = write_lines(tmp_path / "message.txt", f"1 {token} 3\n")
     assert main(["encode", "--m", "3", "--k", "3", "--in", message]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+ZERO_BLOCK = " ".join(["0"] * 255) + "\n"
+
+
+@pytest.mark.parametrize("token", [
+    "+11D", "-11d", "1_1D", "0x_11d", "0X11D", "0x", "\u0661\u0661d",
+    "\uff11\uff11D"])
+def test_non_ascii_hex_prim_poly_is_rejected(tmp_path, token, capsys):
+    # int(token, 16) takes all of these but the bare 0x, most as 0x11d;
+    # the last two spell 11 in Arabic-Indic and fullwidth digits
+    block = write_lines(tmp_path / "block.txt",
+                        f"rs 255 223 8 {token}\n{ZERO_BLOCK}")
+    assert main(["decode", "--in", block]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["11d", "11D", "0x11d", "0x11D"])
+def test_hex_prim_poly_is_accepted(tmp_path, token, capsys):
+    block = write_lines(tmp_path / "block.txt",
+                        f"rs 255 223 8 {token}\n{ZERO_BLOCK}")
+    assert main(["decode", "--in", block]) == 0
+    assert capsys.readouterr().out.split() == ["0"] * 223

@@ -52,8 +52,9 @@ def test_encode_worked_example(rs73):
 def test_encode_validation(rs73):
     with pytest.raises(ValueError, match="must have 3 symbols"):
         encode(rs73, (1, 2))
-    with pytest.raises(ValueError):
-        encode(rs73, (1, 2, 8))
+    for bad in (8, 255, -1, True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="outside GF"):
+            encode(rs73, (1, 2, bad))
 
 
 def test_encode_is_linear(rs73):

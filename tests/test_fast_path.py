@@ -1,7 +1,9 @@
 """The table-driven fast paths against the scalar reference.
 
-A plain Field takes Poly's inline log/antilog arithmetic and, up to
-DENSE_MAX_M, the dense numpy transform; a CountingField over the same
+A plain Field takes Poly's inline log/antilog arithmetic, the numpy row
+kernel for long divisors and in the key-equation solve, the inline
+erasure-locator product and, up to DENSE_MAX_M, the dense numpy transform
+and the closed-form cyclotomic quotient; a CountingField over the same
 field takes the scalar loops that route every product through field.mul.
 Both must give bit-identical results, as plain ints.
 """
@@ -12,9 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rscodec import (CodeParams, Field, Poly, evaluate_all, encode,
-                     interpolate_all, interpolate_subset)
-from rscodec import spectral
+from rscodec import (CodeParams, Field, KeyEquationProblem, Poly,
+                     cyclotomic_quotient, erasure_locator, evaluate_all,
+                     encode, interpolate_all, interpolate_subset,
+                     solve_key_equation)
+from rscodec import polynomial, spectral
+from rscodec.polynomial import ROW_KERNEL_MIN_LEN
 from rscodec.spectral import DENSE_MAX_M
 from rscodec.workbench import CountingField, OpCounter
 
@@ -62,6 +67,10 @@ def test_mul_matches_scalar(case):
 @example((4, [1, 2, 3], [0, 0, 0, 7]), 7)  # dividend below the divisor
 @example((8, [5] * 30, [3, 0, 1]), 1)  # monic divisor with a zero coefficient
 @example((10, [0] * 9 + [1], [9]), 9)  # constant, non-monic divisor
+# divisors one short of the row kernel's length and at it, non-monic
+@example((3, [1, 2, 3, 4, 5, 6, 7] * 9, [0, 5] * 15), 3)
+@example((8, [1, 2, 3, 4, 5, 6, 7] * 9, [0, 5] * 15 + [7]), 3)
+@example((9, [300] * 70, [1] + [0] * (ROW_KERNEL_MIN_LEN - 2)), 100)
 def test_divmod_matches_scalar(case, lead):
     m, a, b = case
     b = b + [lead % ((1 << m) - 1) + 1]  # a nonzero leading coefficient
@@ -150,3 +159,108 @@ def test_fields_above_the_cap_build_no_table(monkeypatch):
     values = [3, 0, 1, 4000] + [0] * (field.n - 4)
     assert (interpolate_all(field, values).coeffs
             == interpolate_all(scalar(field), values).coeffs)
+
+
+@st.composite
+def key_equation_problems(draw):
+    """(m, modulus, known, stop_degree) with the modulus on either side of
+    the row kernel's length."""
+    m = draw(st.integers(3, DENSE_MAX_M))
+    size = draw(st.one_of(
+        st.integers(2, 2 * ROW_KERNEL_MIN_LEN),
+        st.sampled_from([ROW_KERNEL_MIN_LEN - 1, ROW_KERNEL_MIN_LEN])))
+    lead = draw(st.integers(1, (1 << m) - 1))  # non-monic moduli too
+    modulus = draw(coeff_lists(m, max_len=size - 1))
+    modulus = modulus + [0] * (size - 1 - len(modulus)) + [lead]
+    known = draw(coeff_lists(m, max_len=size - 1))
+    stop = draw(st.one_of(st.just(1), st.just(size - 1),
+                          st.integers(1, size - 1)))
+    return m, modulus, known, stop
+
+
+@DIFF
+@given(key_equation_problems())
+@example((3, [1] + [0] * 30 + [1], [], 16))                 # zero known
+@example((8, [1] + [0] * 254 + [1], list(range(1, 200)), 1))  # stop at 1
+@example((8, [1] + [0] * 254 + [1], list(range(1, 200)), 255))  # at deg
+@example((4, [3] * (ROW_KERNEL_MIN_LEN - 1), [1, 2, 3] * 9, 4))
+@example((4, [3] * ROW_KERNEL_MIN_LEN, [1, 2, 3] * 9, 4))
+def test_solve_matches_scalar(case):
+    m, modulus, known, stop = case
+    solutions = []
+    for field in (FIELDS[m], scalar(FIELDS[m])):
+        solutions.append(solve_key_equation(KeyEquationProblem(
+            modulus=Poly(field, modulus), known=Poly(field, known),
+            stop_degree=stop)))
+    fast, ref = solutions
+    assert fast.locator.coeffs == ref.locator.coeffs
+    assert fast.combination.coeffs == ref.combination.coeffs
+    assert fast.iterations == ref.iterations
+
+
+@st.composite
+def erasure_sets(draw):
+    m = draw(st.integers(3, DENSE_MAX_M))
+    n = (1 << m) - 1
+    count = draw(st.one_of(st.integers(1, n - 1), st.sampled_from([1, n - 1])))
+    return m, draw(st.permutations(range(n)))[:count]
+
+
+@DIFF
+@given(erasure_sets(), st.integers(1, 1023))
+@example((3, [4]), 1)                        # l = 1
+@example((3, [6, 5, 4, 3, 2, 1]), 1)         # l = n - 1 = d - 1 at k = 1
+@example((6, [62]), 5)                       # closed form from n = 63 on
+@example((6, list(range(62))), 1)
+@example((8, list(range(254, 0, -1))), 1)    # l = n - 1 at m = 8
+@example((8, [0, 9, 100]), 77)               # non-monic locator
+def test_erasure_locator_and_quotient_match_scalar(case, scale):
+    m, positions = case
+    field = FIELDS[m]
+    fast = erasure_locator(CodeParams(field, 1), positions)
+    ref = erasure_locator(CodeParams(scalar(field), 1), positions)
+    assert fast.coeffs == ref.coeffs
+    scale = scale % field.n + 1
+    assert (cyclotomic_quotient(fast.scale(scale), field.n).coeffs
+            == cyclotomic_quotient(ref.scale(scale), field.n).coeffs)
+
+
+@pytest.mark.parametrize("m", [3, 6, 10])
+def test_quotient_rejects_a_non_dividing_locator(m):
+    field = FIELDS[m]
+    a = field.alpha_pow(2)
+    repeated_root = Poly(field, [1, 0, 1])  # (x + 1)^2
+    with_zero_root = Poly(field, [0, a, 1])  # x (x + alpha^2)
+    for locator in (repeated_root, with_zero_root):
+        for ctx in (field, scalar(field)):
+            with pytest.raises(ValueError, match="does not divide"):
+                cyclotomic_quotient(Poly(ctx, locator.coeffs), field.n)
+
+
+def test_row_kernel_dispatch_follows_divisor_length(monkeypatch):
+    calls = []
+    divide_rows = polynomial.divide_rows
+
+    def spy(field, rem, den_logs):
+        calls.append(len(den_logs))
+        return divide_rows(field, rem, den_logs)
+
+    monkeypatch.setattr(polynomial, "divide_rows", spy)
+    for field in (FIELDS[8], scalar(FIELDS[8])):
+        for length in (ROW_KERNEL_MIN_LEN - 1, ROW_KERNEL_MIN_LEN):
+            divmod(Poly(field, [7] * 80), Poly(field, [3] * length))
+    assert calls == [ROW_KERNEL_MIN_LEN]
+
+
+def test_key_equation_stage_results_are_plain_ints():
+    field = FIELDS[8]
+    rng = random.Random(8)
+    modulus = Poly(field, [1] + [0] * 254 + [1])
+    known = Poly(field, [rng.randrange(256) for _ in range(200)])
+    solution = solve_key_equation(KeyEquationProblem(
+        modulus=modulus, known=known, stop_degree=150))
+    quot, rem = divmod(known, Poly(field, [5] * 64))
+    locator = erasure_locator(CodeParams(field, 1), range(0, 255, 4))
+    for poly in (solution.locator, solution.combination, quot, rem, locator,
+                 cyclotomic_quotient(locator, field.n)):
+        assert poly.coeffs and all(type(c) is int for c in poly.coeffs)
