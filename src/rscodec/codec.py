@@ -35,7 +35,7 @@ from enum import Enum
 
 from .galois import Field
 from .key_equation import KeyEquationProblem, solve
-from .polynomial import Poly, xn_minus_one
+from .polynomial import Poly, root_product, xn_minus_one
 from .spectral import (cyclotomic_quotient, evaluate_all, interpolate_all,
                        interpolate_subset)
 
@@ -133,25 +133,12 @@ def erasure_locator(params: CodeParams, positions) -> Poly:
     for pos in pos_list:
         if not 0 <= pos < params.n:
             raise ValueError(f"position {pos} is outside [0, {params.n})")
-    if type(field) is not Field:
-        locator = Poly.one(field)
-        for pos in pos_list:
-            locator = locator * Poly._make(field, [field.alpha_pow(pos), 1])
-        return locator
-    # multiply by each (x + alpha^pos) in place; log(alpha^pos) = pos
-    exp, log = field._exp, field._log
-    coeffs = [1]
+    if type(field) is Field:
+        return root_product(field, pos_list)
+    locator = Poly.one(field)
     for pos in pos_list:
-        coeffs.append(coeffs[-1])
-        for i in range(len(coeffs) - 2, 0, -1):
-            c = coeffs[i]
-            if c:
-                coeffs[i] = coeffs[i - 1] ^ exp[log[c] + pos]
-            else:
-                coeffs[i] = coeffs[i - 1]
-        # the constant term is a product of nonzero roots
-        coeffs[0] = exp[log[coeffs[0]] + pos]
-    return Poly._make(field, coeffs)
+        locator = locator * Poly._make(field, [field.alpha_pow(pos), 1])
+    return locator
 
 
 def _phase(counter, label: str):

@@ -46,6 +46,10 @@ class Field:
             raise ValueError(f"m must be in [{MIN_M}, {MAX_M}], got {m}")
         if prim_poly is None:
             prim_poly = DEFAULT_PRIMITIVE_POLYS[m]
+        if (not isinstance(prim_poly, int) or isinstance(prim_poly, bool)
+                or prim_poly < 0):
+            raise ValueError(
+                f"prim_poly must be a nonnegative int, got {prim_poly!r}")
         if prim_poly.bit_length() != m + 1:
             raise ValueError(
                 f"prim_poly 0x{prim_poly:X} does not have degree {m}")

@@ -276,3 +276,24 @@ def xn_minus_one(field: Field, n: int) -> Poly:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return Poly._make(field, [1] + [0] * (n - 1) + [1])
+
+
+def root_product(field: Field, exponents: Iterable[int]) -> Poly:
+    """Monic product of (x - alpha^e) over the exponents, on a plain Field.
+
+    Multiplies by each factor in place through the log tables; log(alpha^e)
+    is e itself, so every exponent must lie in [0, n).
+    """
+    exp, log = field._exp, field._log
+    coeffs = [1]
+    for e in exponents:
+        coeffs.append(coeffs[-1])
+        for i in range(len(coeffs) - 2, 0, -1):
+            c = coeffs[i]
+            if c:
+                coeffs[i] = coeffs[i - 1] ^ exp[log[c] + e]
+            else:
+                coeffs[i] = coeffs[i - 1]
+        # the constant term is a product of nonzero roots
+        coeffs[0] = exp[log[coeffs[0]] + e]
+    return Poly._make(field, coeffs)

@@ -33,6 +33,23 @@ where locator_odd, the odd-degree terms, equals x * locator'.  Q vanishes
 at every other alpha^i, and deg Q < n, so Q is one inverse transform read
 over only the l root rows of the index table.  Everything else,
 CountingField included, takes the long division of x^n - 1.
+
+interpolate_subset, through the n - l surviving positions, has two paths:
+
+  dense kernel  P mod M, where P interpolates the zero-filled length-n
+                vector and M = (x^n - 1) / locator is the product of
+                (x - alpha^i) over the survivors, locator the product over
+                the l missing positions.  P mod M has degree < n - l and
+                equals P, hence the value, at every survivor, so it is the
+                unique interpolant.  M is built from its values: the
+                positions are known, so no root search is needed, and
+                M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e is
+                one Horner evaluation of the odd part, followed by the same
+                sparse inverse transform as the closed form.
+  Lagrange loop everything else, CountingField included: the survivors'
+                master polynomial, then one basis division and evaluation
+                per survivor, so the workbench counts the paper's gao
+                interpolation.
 """
 
 from __future__ import annotations
@@ -43,7 +60,8 @@ from functools import cache
 import numpy as np
 
 from .galois import Field
-from .polynomial import ROW_KERNEL_MIN_LEN, Poly, row_tables, xn_minus_one
+from .polynomial import (ROW_KERNEL_MIN_LEN, Poly, root_product, row_tables,
+                         xn_minus_one)
 
 # Largest m with a dense table: n x n uint16 entries, 2 MB at m = 10.
 DENSE_MAX_M = 10
@@ -138,6 +156,25 @@ def interpolate_subset(field: Field, points: Sequence[tuple[int, int]]) -> Poly:
             raise ValueError(f"duplicate position {pos}")
         seen.add(pos)
 
+    if _uses_dense_kernel(field):
+        # P mod M, see the module docstring
+        values = [0] * n
+        for pos, value in points:
+            values[pos] = value
+        full = interpolate_all(field, values)
+        missing = [pos for pos in range(n) if pos not in seen]
+        if not missing:
+            return full
+        # M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e, where
+        # locator_odd(alpha^e) = alpha^e * odd(alpha^2e) for the polynomial
+        # odd holding the locator's odd-degree coefficients
+        locator = root_product(field, missing)
+        odd = Poly._make(field, list(locator.coeffs[1::2]))
+        value_logs = [
+            -(e + field.log(odd.evaluate(field.alpha_pow(2 * e)))) % n
+            for e in missing]
+        return full % _from_root_values(field, missing, value_logs)
+
     xs = [field.alpha_pow(pos) for pos, _ in points]
     master = Poly.one(field)
     for x in xs:
@@ -190,8 +227,19 @@ def _closed_form_quotient(locator: Poly) -> Poly:
     if len(roots) != len(c) - 1:
         # fewer distinct roots than its degree: not a product of (x - alpha^e)
         raise ValueError("locator does not divide x^n - 1")
-    # log Q(alpha^e) = -log odd(alpha^e); coefficient j is
-    # sum_e Q(alpha^e) alpha^(-ej), read from index row (-e) mod n
-    value_logs = (n - log[odd[roots]]) % n
-    rows = index[(n - roots) % n] + value_logs[:, None]
+    # log Q(alpha^e) = -log odd(alpha^e)
+    return _from_root_values(field, roots, (n - log[odd[roots]]) % n)
+
+
+def _from_root_values(field: Field, roots, value_logs) -> Poly:
+    """The polynomial of degree < n with value alpha^value_logs[i] at each
+    alpha^roots[i] and zero at every other power of alpha.
+
+    Its coefficient j is sum_e Q(alpha^e) alpha^(-ej) over the roots e:
+    one sparse inverse transform over their index rows (-e) mod n alone.
+    """
+    index, exp, _ = _dft_tables(field)
+    n = field.n
+    rows = (index[(n - np.asarray(roots)) % n]
+            + np.asarray(value_logs, dtype=np.uint16)[:, None])
     return Poly._make(field, np.bitwise_xor.reduce(exp[rows], axis=0).tolist())

@@ -21,6 +21,7 @@ from ..spectral import cyclotomic_quotient, interpolate_all, interpolate_subset
 from . import blockio
 from .bench import ComplexityClaimError, bench, format_report, write_csv
 from .channel import ChannelSpec, corrupt
+from .counters import CountingField, OpCounter
 from .oracle import oracle_decode
 
 ALGORITHMS = {
@@ -51,7 +52,7 @@ def _field_args(parser: argparse.ArgumentParser, required: bool) -> None:
 
 def _hex_int(text: str) -> int:
     try:
-        return int(text, 16)
+        return blockio._hex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a hex value: {text!r}") from None
 
@@ -228,9 +229,14 @@ def _selftest_checks(seed: int):
             for pos in erased:
                 locator = locator * Poly(field, [field.alpha_pow(pos), 1])
             full = interpolate_all(field, values)
-            part = interpolate_subset(
-                field, [(i, values[i]) for i in range(n) if i not in set(erased)])
-            if full % cyclotomic_quotient(locator, n) != part:
+            points = [(i, values[i]) for i in range(n) if i not in set(erased)]
+            reduced = full % cyclotomic_quotient(locator, n)
+            # the plain field's interpolate_subset computes this same
+            # reduction, so the scalar Lagrange loop is checked as well
+            lagrange = interpolate_subset(CountingField(field, OpCounter()),
+                                          points)
+            if (reduced != interpolate_subset(field, points)
+                    or reduced != lagrange):
                 return False
         return True
 

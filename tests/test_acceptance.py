@@ -32,6 +32,8 @@ from rscodec import (
 from rscodec.workbench import (
     ChannelSpec,
     ComplexityClaimError,
+    CountingField,
+    OpCounter,
     bench,
     corrupt,
     oracle_decode,
@@ -63,6 +65,12 @@ def _locator_for(field, positions):
     for pos in positions:
         out = out * Poly(field, [field.alpha_pow(pos), 1])
     return out
+
+
+def _scalar_lagrange(field, points):
+    # a plain Field's interpolate_subset computes this same reduction, so
+    # the identity is also checked against the scalar Lagrange loop
+    return interpolate_subset(CountingField(field, OpCounter()), points)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +147,8 @@ def test_2_oracle_equivalence(rs73):
 
 def test_3_reduction_identity(gf8, gf16):
     # reducing the all-positions interpolation modulo the cyclotomic
-    # quotient must equal direct interpolation of the surviving positions
+    # quotient must equal direct interpolation of the surviving positions,
+    # on the plain field and through the scalar Lagrange loop
     failures = []
     rng = random.Random(0x1DE7)
     for field in (gf8, gf16):
@@ -152,11 +161,16 @@ def test_3_reduction_identity(gf8, gf16):
 
             modulus = cyclotomic_quotient(_locator_for(field, erased), n)
             reduced = interpolate_all(field, values) % modulus
-            direct = interpolate_subset(field,
-                                        [(i, values[i]) for i in kept])
+            points = [(i, values[i]) for i in kept]
+            direct = interpolate_subset(field, points)
             if reduced != direct:
                 failures.append(f"GF(2^{field.m}) trial {trial} "
                                 f"erased={erased}: {reduced} != {direct}")
+            lagrange = _scalar_lagrange(field, points)
+            if reduced != lagrange:
+                failures.append(f"GF(2^{field.m}) trial {trial} "
+                                f"erased={erased}: {reduced} != {lagrange} "
+                                f"(scalar Lagrange)")
     _verdict(3, "reduction identity", failures)
 
 
@@ -440,9 +454,13 @@ def _spectral_invariants_m8(cases, failures):
         kept = [i for i in range(n) if i not in set(erased)]
         modulus = cyclotomic_quotient(_locator_for(field, erased), n)
         reduced = interpolate_all(field, values) % modulus
-        direct = interpolate_subset(field, [(i, values[i]) for i in kept])
+        points = [(i, values[i]) for i in kept]
+        direct = interpolate_subset(field, points)
         if reduced != direct:
             failures.append(f"GF(256) reduction identity case {index}")
+        if reduced != _scalar_lagrange(field, points):
+            failures.append(f"GF(256) reduction identity case {index} "
+                            f"(scalar Lagrange)")
 
 
 def test_7_module_invariants():

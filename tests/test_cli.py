@@ -240,3 +240,21 @@ def test_hex_prim_poly_is_accepted(tmp_path, token, capsys):
                         f"rs 255 223 8 {token}\n{ZERO_BLOCK}")
     assert main(["decode", "--in", block]) == 0
     assert capsys.readouterr().out.split() == ["0"] * 223
+
+
+@pytest.mark.parametrize("token", ["-11d", "+11d", "1_1d", "\uff11\uff11d"])
+def test_strict_prim_poly_flag_is_rejected(tmp_path, token, capsys):
+    # int(token, 16) takes the last three as 0x11d and the first as a
+    # negative number that Field used to crash on
+    message = write_lines(tmp_path / "message.txt", "1 2 3\n")
+    assert main(["encode", "--m", "8", "--k", "3", f"--prim-poly={token}",
+                 "--in", message]) == 2
+    assert "not a hex value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["11d", "0x11d"])
+def test_prim_poly_flag_is_accepted(tmp_path, token, capsys):
+    message = write_lines(tmp_path / "message.txt", "1 2 3\n")
+    assert main(["encode", "--m", "8", "--k", "3", f"--prim-poly={token}",
+                 "--in", message]) == 0
+    assert capsys.readouterr().out.startswith("rs 255 3 8 0x11d\n")

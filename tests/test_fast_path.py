@@ -2,8 +2,9 @@
 
 A plain Field takes Poly's inline log/antilog arithmetic, the numpy row
 kernel for long divisors and in the key-equation solve, the inline
-erasure-locator product and, up to DENSE_MAX_M, the dense numpy transform
-and the closed-form cyclotomic quotient; a CountingField over the same
+erasure-locator product and, up to DENSE_MAX_M, the dense numpy transform,
+the closed-form cyclotomic quotient and the subset interpolation as a
+transform plus a reduction; a CountingField over the same
 field takes the scalar loops that route every product through field.mul.
 Both must give bit-identical results, as plain ints.
 """
@@ -138,6 +139,10 @@ def test_results_are_plain_ints(m):
     rng = random.Random(m)
     values = [rng.randrange(field.order) for _ in range(field.n)]
     assert all(type(c) is int for c in interpolate_all(field, values).coeffs)
+    for l in (0, 8, field.n - 1):  # every survivor, some, and a single one
+        points = [(pos, values[pos] or 1) for pos in range(l, field.n)]
+        coeffs = interpolate_subset(field, points).coeffs
+        assert coeffs and all(type(c) is int for c in coeffs)
 
 
 def test_fields_above_the_cap_build_no_table(monkeypatch):
@@ -264,3 +269,61 @@ def test_key_equation_stage_results_are_plain_ints():
     for poly in (solution.locator, solution.combination, quot, rem, locator,
                  cyclotomic_quotient(locator, field.n)):
         assert poly.coeffs and all(type(c) is int for c in poly.coeffs)
+
+
+@st.composite
+def survivor_sets(draw):
+    """(m, points): distinct positions in random order with their values.
+
+    The scalar Lagrange side is O(count^2), so above m = 8 the survivors
+    are capped; l = n - count then stays close to n there.
+    """
+    m = draw(st.integers(3, DENSE_MAX_M))
+    n = (1 << m) - 1
+    cap = n if m <= 8 else 40
+    count = draw(st.one_of(st.integers(1, cap), st.sampled_from([1, cap])))
+    positions = draw(st.permutations(range(n)))[:count]
+    values = draw(coeff_lists(m, max_len=count))
+    values = values + [0] * (count - len(values))
+    return m, list(zip(positions, values))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(survivor_sets())
+@example((3, [(6, 1)]))                                     # l = n - 1
+@example((4, [(i, i) for i in range(15)]))                  # l = 0, zero value
+@example((4, [(i, 7) for i in range(14, -1, -2)]))          # descending
+@example((5, [(i, 1) for i in range(31)]))                  # l = 0 at n = 31
+@example((5, [(i, i % 3) for i in range(30, 0, -3)]))       # n = 31, l = 21
+@example((6, [(i, 0) for i in range(0, 63, 5)]))            # all values zero
+@example((6, [(i, i) for i in range(62, 2, -1)]))           # n = 63, l = 3
+@example((8, [(i, (7 * i) % 256) for i in range(254, -1, -1)]))  # l = 0
+@example((8, [(200, 9)]))                                   # l = n - 1
+@example((10, [(1000, 3)]))
+def test_subset_interpolation_matches_scalar(case):
+    m, points = case
+    field = FIELDS[m]
+    fast = interpolate_subset(field, points)
+    ref = interpolate_subset(scalar(field), points)
+    assert fast.coeffs == ref.coeffs
+    assert fast.degree < len(points)
+
+
+def test_subset_interpolation_dispatch(monkeypatch):
+    # the reduction route multiplies no polynomials; the Lagrange loop
+    # builds the survivors' master polynomial one factor at a time
+    calls = []
+    mul = Poly.__mul__
+
+    def spy(self, other):
+        calls.append(type(self.field) is Field)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", spy)
+    points = [(pos, pos % 5) for pos in range(1, 7)]
+    for field in (FIELDS[3], FIELDS[DENSE_MAX_M]):
+        interpolate_subset(field, points)
+    assert calls == []
+    interpolate_subset(scalar(FIELDS[4]), points)
+    interpolate_subset(Field(11), points)
+    assert calls == [False] * len(points) + [True] * len(points)

@@ -147,6 +147,14 @@ def test_rejects_poly_divisible_by_x():
         Field(4, 0x1A)
 
 
+@pytest.mark.parametrize("prim_poly", [-0x11D, -0x1E3, 285.0, True, "11d"])
+def test_rejects_negative_or_non_int_poly(prim_poly):
+    # -0x11D has bit length 9 and an odd low bit, so only the sign check
+    # stops it before the table build indexes with a negative element
+    with pytest.raises(ValueError, match="nonnegative int"):
+        Field(8, prim_poly)
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 17, 32])
 def test_rejects_m_out_of_range(m):
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from rscodec import (
     interpolate_all,
     interpolate_subset,
 )
+from rscodec.workbench import CountingField, OpCounter
 
 
 def locator_for(field, positions):
@@ -142,5 +143,11 @@ def test_reduction_matches_subset_interpolation(m):
 
         modulus = cyclotomic_quotient(locator_for(field, erased), n)
         reduced = interpolate_all(field, values) % modulus
-        direct = interpolate_subset(field, [(i, values[i]) for i in kept])
+        points = [(i, values[i]) for i in kept]
+        direct = interpolate_subset(field, points)
         assert reduced == direct
+        # the plain field's route computes this same reduction; the scalar
+        # Lagrange loop is the independent side
+        lagrange = interpolate_subset(CountingField(field, OpCounter()),
+                                      points)
+        assert reduced == lagrange
