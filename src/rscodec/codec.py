@@ -4,19 +4,24 @@ Codewords are full evaluation vectors: symbol i of the codeword for a
 message polynomial M is M(alpha^i), with block length n = 2^m - 1 and
 minimum distance d = n - k + 1.  Encoding is nonsystematic.
 
-Four decoders are provided.  All of them recover the message whenever
-2t + l < d for t symbol errors and l erasures, and all reduce the work to
-one key-equation solve; they differ in how the known polynomial and the
-modulus are prepared:
+Four decoders recover the message whenever 2t + l < d for t symbol
+errors and l erasures.  Each is a thin entry over one pipeline, _decode,
+whose steps carry the labels a counter= argument sees: 0 builds the
+erasure locator L (1 when nothing is erased); 1 interpolates; 2a prepares
+the known polynomial, the modulus and an optional divisor factor; 2b
+reduces known modulo the modulus and finds W and P with W * known = P
+(mod modulus) by one partial extended Euclidean solve; 3 caps deg W at
+(d - 1 - l) / 2 and divides P by W, times the factor if any.  Steps 1 and
+2a are each algorithm's own:
 
-  decode_errors_only   no erasures; solve against x^n - 1 directly
-  decode_gao           interpolate the non-erased positions only, then
-                       solve against (x^n - 1) / locator
-  decode_truong        interpolate everything, multiply by the erasure
-                       locator, then solve against x^n - 1
-  decode_suggested     interpolate everything, reduce modulo
-                       (x^n - 1) / locator, then solve against that
-                       same smaller modulus
+  decode_gao           interpolate the n - l non-erased positions only;
+                       modulus (x^n - 1) / L
+  decode_truong        interpolate the full zero-filled vector R; known
+                       R * L folded mod x^n - 1, modulus x^n - 1, factor L
+  decode_suggested     interpolate R; modulus (x^n - 1) / L, which step 2b
+                       reduces R against
+  decode_errors_only   decode_suggested with no erasures, so the modulus
+                       is x^n - 1 itself
 
 The gao and suggested pipelines compute identical reduced polynomials by
 two different routes, and the truong pipeline carries the same data scaled
@@ -36,14 +41,13 @@ from enum import Enum
 from .galois import Field
 from .key_equation import KeyEquationProblem, solve
 from .polynomial import Poly, root_product, xn_minus_one
-from .spectral import (cyclotomic_quotient, evaluate_all, interpolate_all,
-                       interpolate_subset)
+from .spectral import (check_positions, cyclotomic_quotient, evaluate_all,
+                       interpolate_all, interpolate_subset)
 
 
 class FailureCause(Enum):
     DIVISION_INEXACT = "division_inexact"
     DEGREE_OVERFLOW = "degree_overflow"
-    LOCATOR_MISMATCH = "locator_mismatch"
     TIE = "tie"  # used by the workbench oracle only
 
 
@@ -101,13 +105,8 @@ class ReceivedWord:
     erasures: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        n = len(self.symbols)
-        positions = tuple(sorted(self.erasures))
-        if len(set(positions)) != len(positions):
-            raise ValueError(f"duplicate erasure positions in {positions}")
-        for pos in positions:
-            if not 0 <= pos < n:
-                raise ValueError(f"erasure position {pos} is outside [0, {n})")
+        positions = tuple(sorted(check_positions(self.erasures,
+                                                 len(self.symbols))))
         filled = list(self.symbols)
         for pos in positions:
             filled[pos] = 0
@@ -127,12 +126,7 @@ def encode(params: CodeParams, message) -> tuple[int, ...]:
 def erasure_locator(params: CodeParams, positions) -> Poly:
     """Monic product of (x - alpha^pos) over the erased positions."""
     field = params.field
-    pos_list = list(positions)
-    if len(set(pos_list)) != len(pos_list):
-        raise ValueError(f"duplicate erasure positions in {pos_list}")
-    for pos in pos_list:
-        if not 0 <= pos < params.n:
-            raise ValueError(f"position {pos} is outside [0, {params.n})")
+    pos_list = check_positions(positions, params.n)
     if type(field) is Field:
         return root_product(field, pos_list)
     locator = Poly.one(field)
@@ -145,10 +139,6 @@ def _phase(counter, label: str):
     return counter.step(label) if counter is not None else nullcontext()
 
 
-def _ceil_half(value: int) -> int:
-    return (value + 1) // 2
-
-
 def _check_symbols(params: CodeParams, symbols) -> tuple[int, ...]:
     syms = tuple(symbols)
     if len(syms) != params.n:
@@ -158,142 +148,109 @@ def _check_symbols(params: CodeParams, symbols) -> tuple[int, ...]:
     return syms
 
 
-def _wrap_mod_xn_1(poly: Poly, n: int) -> Poly:
-    # x^n = 1 on the evaluation domain, so folding is pure addition
-    coeffs = list(poly.coeffs)
-    for i in range(n, len(coeffs)):
-        coeffs[i - n] ^= coeffs[i]
-    return Poly._make(poly.field, coeffs[:n])
+def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
+            interpolate, prepare) -> DecodeResult:
+    """The pipeline every decoder runs; see the module docstring.
 
-
-def _finish(params: CodeParams, locator: Poly, combination: Poly,
-            divisor: Poly, symbols: tuple[int, ...],
-            erasures: tuple[int, ...], max_locator_degree: int,
-            self_check: bool, counter) -> DecodeResult:
-    """Shared tail: divide out the locator and police the degree caps."""
-    if locator.degree > max_locator_degree:
-        return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
-    msg_poly, rem = divmod(combination, divisor)
-    if not rem.is_zero:
-        return DecodeResult.failure(FailureCause.DIVISION_INEXACT)
-    if msg_poly.degree >= params.k:
-        return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
-    message = tuple(msg_poly.coeffs) + (0,) * (params.k - len(msg_poly.coeffs))
-
-    if self_check:
-        with _phase(counter, "self-check"):
-            field = params.field
-            reencoded = evaluate_all(msg_poly, params.n)
-            erased = set(erasures)
-            for pos in range(params.n):
-                if pos in erased or reencoded[pos] == symbols[pos]:
-                    continue
-                if locator.evaluate(field.alpha_pow(pos)) != 0:
-                    return DecodeResult.failure(FailureCause.LOCATOR_MISMATCH)
-    return DecodeResult.of_message(message)
-
-
-def decode_errors_only(params: CodeParams, symbols, *,
-                       self_check: bool = False, counter=None) -> DecodeResult:
-    """Decode a full received vector assuming errors only, no erasures.
-
-    Corrects up to (d - 1) / 2 symbol errors.
+    interpolate(field, symbols, erasures) is step 1.  prepare(received,
+    locator) is step 2a and returns (known, modulus, factor), where
+    factor is None or a polynomial that step 3 divides out besides W.
     """
-    field, n, k = params.field, params.n, params.k
     syms = _check_symbols(params, symbols)
+    l = len(erasures)
+    if l >= params.d:
+        return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
 
+    with _phase(counter, "0"):
+        locator = erasure_locator(params, erasures)
     with _phase(counter, "1"):
-        received_poly = interpolate_all(field, syms)
+        received = interpolate(params.field, syms, erasures)
     with _phase(counter, "2a"):
-        modulus = xn_minus_one(field, n)
+        known, modulus, factor = prepare(received, locator)
     with _phase(counter, "2b"):
+        factor_degree = 0 if factor is None else factor.degree
         solution = solve(KeyEquationProblem(
-            modulus=modulus, known=received_poly,
-            stop_degree=_ceil_half(n + k)))
+            modulus=modulus, known=known % modulus,
+            stop_degree=(modulus.degree + params.k + factor_degree + 1) // 2))
         if counter is not None:
             counter.add_iterations(solution.iterations)
     with _phase(counter, "3"):
-        return _finish(params, solution.locator, solution.combination,
-                       solution.locator, syms, (),
-                       (params.d - 1) // 2, self_check, counter)
+        error_locator = solution.locator
+        if error_locator.degree > (params.d - 1 - l) // 2:
+            return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
+        divisor = error_locator if factor is None else error_locator * factor
+        msg_poly, rem = divmod(solution.combination, divisor)
+        if not rem.is_zero:
+            return DecodeResult.failure(FailureCause.DIVISION_INEXACT)
+        if msg_poly.degree >= params.k:
+            return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
+        padding = (0,) * (params.k - len(msg_poly.coeffs))
+        return DecodeResult.of_message(tuple(msg_poly.coeffs) + padding)
 
 
-def _erasure_setup(params: CodeParams, received: ReceivedWord):
-    syms = _check_symbols(params, received.symbols)
-    l = len(received.erasures)
-    if l >= params.d:
-        return None
-    return syms, received.erasures, l
+# Steps 1 and 2a look the spectral functions up in this module's globals
+# at call time, so a wrapper installed on rscodec.codec sees every call.
+
+def _interpolate_all(field: Field, symbols, erasures) -> Poly:
+    return interpolate_all(field, symbols)
+
+
+def _interpolate_survivors(field: Field, symbols, erasures) -> Poly:
+    erased = set(erasures)
+    return interpolate_subset(field, [(pos, symbols[pos])
+                                      for pos in range(field.n)
+                                      if pos not in erased])
+
+
+def _reduced_modulus(received: Poly, locator: Poly):
+    return received, cyclotomic_quotient(locator, received.field.n), None
+
+
+def _locator_product(received: Poly, locator: Poly):
+    field, n = received.field, received.field.n
+    # x^n = 1 on the evaluation domain, so folding is pure addition
+    coeffs = list((received * locator).coeffs)
+    for i in range(n, len(coeffs)):
+        coeffs[i - n] ^= coeffs[i]
+    return Poly._make(field, coeffs[:n]), xn_minus_one(field, n), locator
+
+
+def decode_errors_only(params: CodeParams, symbols, *,
+                       counter=None) -> DecodeResult:
+    """Decode a full received vector assuming errors only, no erasures.
+
+    Corrects up to (d - 1) / 2 symbol errors.  This is decode_suggested
+    with no erasures: the reduced modulus is x^n - 1 itself.
+    """
+    return _decode(params, symbols, (), counter, _interpolate_all,
+                   _reduced_modulus)
 
 
 def decode_gao(params: CodeParams, received: ReceivedWord, *,
-               self_check: bool = False, counter=None) -> DecodeResult:
+               counter=None) -> DecodeResult:
     """Errors-and-erasures decoding from the non-erased positions only.
 
     Interpolates the n - l surviving positions, then solves the key
     equation against the reduced modulus (x^n - 1) / locator.
     """
-    setup = _erasure_setup(params, received)
-    if setup is None:
-        return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
-    syms, erasures, l = setup
-    field, n, k = params.field, params.n, params.k
-
-    with _phase(counter, "0"):
-        locator = erasure_locator(params, erasures)
-    with _phase(counter, "1"):
-        erased = set(erasures)
-        points = [(pos, syms[pos]) for pos in range(n) if pos not in erased]
-        survivors_poly = interpolate_subset(field, points)
-    with _phase(counter, "2a"):
-        modulus = cyclotomic_quotient(locator, n)
-    with _phase(counter, "2b"):
-        solution = solve(KeyEquationProblem(
-            modulus=modulus, known=survivors_poly,
-            stop_degree=_ceil_half(n - l + k)))
-        if counter is not None:
-            counter.add_iterations(solution.iterations)
-    with _phase(counter, "3"):
-        return _finish(params, solution.locator, solution.combination,
-                       solution.locator, syms, erasures,
-                       (params.d - 1 - l) // 2, self_check, counter)
+    return _decode(params, received.symbols, received.erasures, counter,
+                   _interpolate_survivors, _reduced_modulus)
 
 
 def decode_truong(params: CodeParams, received: ReceivedWord, *,
-                  self_check: bool = False, counter=None) -> DecodeResult:
+                  counter=None) -> DecodeResult:
     """Errors-and-erasures decoding with the locator-product key equation.
 
     Interpolates the full zero-filled vector, multiplies by the erasure
     locator, and solves against x^n - 1; the message is the combination
     divided by locator times erasure locator.
     """
-    setup = _erasure_setup(params, received)
-    if setup is None:
-        return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
-    syms, erasures, l = setup
-    field, n, k = params.field, params.n, params.k
-
-    with _phase(counter, "0"):
-        locator = erasure_locator(params, erasures)
-    with _phase(counter, "1"):
-        received_poly = interpolate_all(field, syms)
-    with _phase(counter, "2a"):
-        known = _wrap_mod_xn_1(received_poly * locator, n)
-    with _phase(counter, "2b"):
-        solution = solve(KeyEquationProblem(
-            modulus=xn_minus_one(field, n), known=known,
-            stop_degree=_ceil_half(n + k + l)))
-        if counter is not None:
-            counter.add_iterations(solution.iterations)
-    with _phase(counter, "3"):
-        divisor = solution.locator * locator
-        return _finish(params, solution.locator, solution.combination,
-                       divisor, syms, erasures,
-                       (params.d - 1 - l) // 2, self_check, counter)
+    return _decode(params, received.symbols, received.erasures, counter,
+                   _interpolate_all, _locator_product)
 
 
 def decode_suggested(params: CodeParams, received: ReceivedWord, *,
-                     self_check: bool = False, counter=None) -> DecodeResult:
+                     counter=None) -> DecodeResult:
     """Errors-and-erasures decoding against the reduced modulus.
 
     Interpolates the full zero-filled vector like decode_truong, but then
@@ -301,26 +258,5 @@ def decode_suggested(params: CodeParams, received: ReceivedWord, *,
     modulus like decode_gao, skipping both the locator product and the
     larger Euclidean operands.
     """
-    setup = _erasure_setup(params, received)
-    if setup is None:
-        return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
-    syms, erasures, l = setup
-    field, n, k = params.field, params.n, params.k
-
-    with _phase(counter, "0"):
-        locator = erasure_locator(params, erasures)
-    with _phase(counter, "1"):
-        received_poly = interpolate_all(field, syms)
-    with _phase(counter, "2a"):
-        modulus = cyclotomic_quotient(locator, n)
-    with _phase(counter, "2b"):
-        reduced = received_poly % modulus
-        solution = solve(KeyEquationProblem(
-            modulus=modulus, known=reduced,
-            stop_degree=_ceil_half(n - l + k)))
-        if counter is not None:
-            counter.add_iterations(solution.iterations)
-    with _phase(counter, "3"):
-        return _finish(params, solution.locator, solution.combination,
-                       solution.locator, syms, erasures,
-                       (params.d - 1 - l) // 2, self_check, counter)
+    return _decode(params, received.symbols, received.erasures, counter,
+                   _interpolate_all, _reduced_modulus)

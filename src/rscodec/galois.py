@@ -82,10 +82,6 @@ class Field:
         self._exp = tuple(exp)
         self._log = tuple(log)
 
-    def add(self, a: int, b: int) -> int:
-        """Sum of two elements.  Addition and subtraction coincide."""
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Product of two elements."""
         if a == 0 or b == 0:

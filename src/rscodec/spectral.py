@@ -138,6 +138,22 @@ def interpolate_all(field: Field, values: Sequence[int]) -> Poly:
         field, [vpoly.evaluate(field.alpha_pow(-j)) for j in range(n)])
 
 
+def check_positions(positions, n: int) -> tuple[int, ...]:
+    """Positions of points alpha^pos as a tuple of distinct ints in [0, n).
+
+    Anything else, bool and repeated positions included, raises ValueError.
+    """
+    checked = tuple(positions)
+    for pos in checked:
+        if type(pos) is not int:  # bool is a subclass of int
+            raise ValueError(f"position must be an int, got {pos!r}")
+        if not 0 <= pos < n:
+            raise ValueError(f"position {pos} is outside [0, {n})")
+    if len(set(checked)) != len(checked):
+        raise ValueError(f"duplicate positions in {checked}")
+    return checked
+
+
 def interpolate_subset(field: Field, points: Sequence[tuple[int, int]]) -> Poly:
     """Lagrange interpolation through (alpha^pos, value) pairs.
 
@@ -148,13 +164,7 @@ def interpolate_subset(field: Field, points: Sequence[tuple[int, int]]) -> Poly:
     n = field.n
     if not points:
         raise ValueError("at least one interpolation point is required")
-    seen = set()
-    for pos, _ in points:
-        if not 0 <= pos < n:
-            raise ValueError(f"position {pos} is outside [0, {n})")
-        if pos in seen:
-            raise ValueError(f"duplicate position {pos}")
-        seen.add(pos)
+    seen = set(check_positions([pos for pos, _ in points], n))
 
     if _uses_dense_kernel(field):
         # P mod M, see the module docstring
@@ -198,6 +208,8 @@ def cyclotomic_quotient(erasure_locator: Poly, n: int) -> Poly:
     field = erasure_locator.field
     if n != field.n:
         raise ValueError(f"n must be {field.n} for GF(2^{field.m}), got {n}")
+    if erasure_locator.coeffs == (1,):
+        return xn_minus_one(field, n)
     # the closed form's fixed numpy cost pays off from n = 63 (m = 6) on
     if (_uses_dense_kernel(field) and n > ROW_KERNEL_MIN_LEN
             and 1 <= erasure_locator.degree < n):

@@ -19,7 +19,7 @@ from ..codec import (CodeParams, decode_errors_only, decode_gao,
 from .channel import ChannelSpec, corrupt
 from .counters import CountingField, OpCounter
 
-STEP_ORDER = ("0", "1", "2a", "2b", "3", "self-check", "other")
+STEP_ORDER = ("0", "1", "2a", "2b", "3", "other")
 
 ERASURE_DECODERS = (
     ("gao", decode_gao),

@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 
 from ..codec import CodeParams, ReceivedWord
+from ..spectral import check_positions
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,7 @@ def corrupt(params: CodeParams, codeword, spec: ChannelSpec) -> ReceivedWord:
     else:
         errors = rng.sample(sorted(set(range(n)) - set(erasures)), spec.t)
 
-    for pos in erasures + errors:
-        if not 0 <= pos < n:
-            raise ValueError(f"position {pos} is outside [0, {n})")
+    check_positions(erasures + errors, n)
     for pos in errors:
         symbols[pos] ^= rng.randrange(1, params.field.order)
     return ReceivedWord(symbols=tuple(symbols), erasures=tuple(erasures))

@@ -28,7 +28,7 @@ ALGORITHMS = {
     "gao": decode_gao,
     "truong": decode_truong,
     "suggested": decode_suggested,
-    "errors-only": None,  # handled separately: takes a plain vector
+    "errors-only": lambda p, word: decode_errors_only(p, word.symbols),
 }
 
 USAGE_ERROR = 2
@@ -155,20 +155,16 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     with _open_in(args.infile) as src:
         params, blocks = blockio.read_blocks(src)
     _check_params_match(args, params)
+    decoder = ALGORITHMS[args.algorithm]
     failures = 0
     with _open_out(args.outfile) as dst:
         for index, block in enumerate(blocks):
-            if args.algorithm == "errors-only":
-                if block.erasures:
-                    print(f"block {index}: erasures present, "
-                          f"errors-only cannot apply", file=sys.stderr)
-                    failures += 1
-                    continue
-                result = decode_errors_only(params, block.symbols,
-                                            self_check=args.self_check)
-            else:
-                decoder = ALGORITHMS[args.algorithm]
-                result = decoder(params, block, self_check=args.self_check)
+            if args.algorithm == "errors-only" and block.erasures:
+                print(f"block {index}: erasures present, "
+                      f"errors-only cannot apply", file=sys.stderr)
+                failures += 1
+                continue
+            result = decoder(params, block)
             if result.ok:
                 dst.write(" ".join(str(s) for s in result.message) + "\n")
             else:
@@ -319,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     _io_args(p_dec)
     p_dec.add_argument("--algorithm", choices=sorted(ALGORITHMS),
                        default="suggested")
-    p_dec.add_argument("--self-check", action="store_true",
-                       help="re-encode and verify corrected positions")
     p_dec.set_defaults(handler=_cmd_decode)
 
     p_ben = sub.add_parser("bench", help="compare pipeline operation counts")

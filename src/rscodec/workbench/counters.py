@@ -58,13 +58,6 @@ class OpCounter:
     def total_iterations(self) -> int:
         return sum(self.iterations.values())
 
-    def merge(self, other: OpCounter) -> None:
-        """Fold another counter into this one, e.g. from a parallel trial."""
-        for src, dst in ((other.mults, self.mults), (other.invs, self.invs),
-                         (other.iterations, self.iterations)):
-            for label, count in src.items():
-                dst[label] = dst.get(label, 0) + count
-
     def __repr__(self) -> str:
         return (f"OpCounter(mults={self.total_mults}, "
                 f"invs={self.total_invs}, iterations={self.total_iterations})")
@@ -88,9 +81,6 @@ class CountingField:
         self.order = base.order
         self.n = base.n
         self.alpha = base.alpha
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         self.counter.add_mul()

@@ -57,7 +57,7 @@ def test_corrupt_then_decode(tmp_path, message_file):
     assert all(line.split().count("?") == 2 for line in noisy_lines[1:])
     for algorithm in ("gao", "truong", "suggested"):
         decoded = tmp_path / f"decoded-{algorithm}.txt"
-        code = main(["decode", "--algorithm", algorithm, "--self-check",
+        code = main(["decode", "--algorithm", algorithm,
                      "--in", str(noisy), "--out", str(decoded)])
         assert code == 0
         assert read_lines(decoded) == ["1 2 3", "0 0 5", "7 7 7"]

@@ -1,0 +1,98 @@
+"""Whole-decoder differential and contract gate.
+
+Random words in and up to three errors past the radius, over GF(2^3) to
+GF(2^10), go through all four decoders.  On every word:
+
+  - the plain Field result equals the CountingField result in message,
+    cause and Euclidean iterations (read through counter=);
+  - with 2t + l < d the sent message comes back;
+  - every ok result re-encodes within (d - 1 - l) / 2 of the non-erased
+    symbols;
+  - gao, truong and suggested return the same result;
+  - decode_errors_only(p, s) equals decode_suggested(p, ReceivedWord(s)).
+
+The counted path pays a schoolbook transform, O(n^2) calls to field.mul,
+and takes seconds per word at m = 10, so the CountingField comparison runs
+for m <= 8.  m = 8 already takes the dense transform, the row kernels and
+the closed-form quotient that m = 9 and 10 take, so the larger fields get
+a few words with the other four checks only.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rscodec import (CodeParams, Field, ReceivedWord, decode_errors_only,
+                     decode_gao, decode_suggested, decode_truong, encode)
+from rscodec.workbench import CountingField, OpCounter
+
+ERASURE_DECODERS = (decode_gao, decode_truong, decode_suggested)
+FIELDS = {m: Field(m) for m in range(3, 11)}
+
+
+@st.composite
+def words(draw, fields):
+    """(params, message, received word, t): t errors, up to 3 past radius."""
+    field = FIELDS[draw(st.sampled_from(fields))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = field.n
+    params = CodeParams(field, rng.randrange(1, n))
+    l = rng.randrange(params.d)
+    radius = (params.d - 1 - l) // 2
+    t = rng.randint(0, min(radius + 3, n - l))
+    message = tuple(rng.randrange(field.order) for _ in range(params.k))
+    symbols = list(encode(params, message))
+    positions = rng.sample(range(n), t + l)
+    for pos in positions[:t]:
+        symbols[pos] ^= rng.randrange(1, field.order)
+    return params, message, ReceivedWord(tuple(symbols), tuple(positions[t:])), t
+
+
+def decode_all(params, word):
+    """(result, iterations) per decoder, errors-only on the raw symbols."""
+    out = []
+    for decoder in ERASURE_DECODERS:
+        counter = OpCounter()
+        out.append((decoder(params, word, counter=counter),
+                    counter.total_iterations))
+    counter = OpCounter()
+    out.append((decode_errors_only(params, word.symbols, counter=counter),
+                counter.total_iterations))
+    return out
+
+
+def check_contract(params, message, word, t):
+    plain = decode_all(params, word)
+    gao, truong, suggested, errors_only = (result for result, _ in plain)
+    assert gao == truong == suggested
+    assert errors_only == decode_suggested(params, ReceivedWord(word.symbols))
+
+    if 2 * t + len(word.erasures) < params.d:
+        assert suggested.message == message
+    # errors-only reads the zero-filled erased positions as received symbols
+    for result, erased in ((suggested, set(word.erasures)), (errors_only, ())):
+        if result.ok:
+            codeword = encode(params, result.message)
+            distance = sum(1 for i in range(params.n)
+                           if codeword[i] != word.symbols[i] and i not in erased)
+            assert distance <= (params.d - 1 - len(erased)) // 2
+    return plain
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(words(range(3, 9)))
+def test_plain_and_counted_decoders_meet_the_contract(case):
+    params, message, word, t = case
+    plain = check_contract(params, message, word, t)
+    counted_params = CodeParams(CountingField(params.field, OpCounter()),
+                                params.k)
+    counted = decode_all(counted_params, word)
+    assert [(r.message, r.cause, i) for r, i in plain] == \
+        [(r.message, r.cause, i) for r, i in counted]
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(words((9, 10)))
+def test_large_field_decoders_meet_the_contract(case):
+    check_contract(*case)

@@ -98,6 +98,12 @@ def test_subset_interpolation_validation(gf8):
         interpolate_subset(gf8, [(-1, 1)])
 
 
+def test_subset_interpolation_rejects_bool_positions(gf8):
+    # True would otherwise stand for position 1
+    with pytest.raises(ValueError, match="must be an int"):
+        interpolate_subset(gf8, [(True, 2), (2, 3)])
+
+
 def test_cyclotomic_quotient_worked_example(gf8):
     # locator for positions {0, 1} is (x + 1)(x + 2) = x^2 + 3x + 2
     locator = locator_for(gf8, [0, 1])

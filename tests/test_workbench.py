@@ -85,6 +85,9 @@ def test_corrupt_validation(rs73):
     with pytest.raises(ValueError, match="outside"):
         corrupt(rs73, codeword,
                 ChannelSpec(t=0, l=1, erasure_positions=(9,)))
+    with pytest.raises(ValueError, match="must be an int"):
+        corrupt(rs73, codeword,
+                ChannelSpec(t=1, l=0, error_positions=(True,)))
 
 
 # ----------------------------------------------------------------- oracle
@@ -172,27 +175,11 @@ def test_op_counter_step_attribution():
     assert counter.total_iterations == 3
 
 
-def test_op_counter_merge():
-    a, b = OpCounter(), OpCounter()
-    with a.step("1"):
-        a.add_mul()
-    with b.step("1"):
-        b.add_mul()
-        b.add_inv()
-    with b.step("3"):
-        b.add_mul()
-    a.merge(b)
-    assert a.mults == {"1": 2, "3": 1}
-    assert a.invs == {"1": 1}
-    assert b.mults == {"1": 1, "3": 1}  # source untouched
-
-
 def test_counting_field_counts_mul_and_inv_only(gf8):
     counter = OpCounter()
     counted = CountingField(gf8, counter)
     assert counted.mul(3, 3) == 5
     assert counted.inv(2) == 5
-    assert counted.add(6, 3) == 5
     assert counted.alpha_pow(3) == 3
     assert counted.log(4) == 2
     assert counted.check_element(7) == 7
@@ -263,6 +250,32 @@ def test_bench_without_erasures_includes_errors_only(rs73):
                 == report.mean_steps["errors_only"][label])
     assert (report.trial_mults["suggested"]
             == report.trial_mults["errors_only"])
+
+
+# Totals over bench(..., trials=4, seed=0): (mults, iterations) per decoder.
+# These are the paper's counts as the counted pipelines measure them; a
+# change to any pipeline that moves one must say why.
+PINNED_COUNTS = [
+    ((8, 223, 16, 8), {"gao": (955_752, 32), "truong": (317_701, 32),
+                       "suggested": (315_045, 32)}),
+    ((8, 223, 0, 16), {"gao": (1_090_502, 64), "truong": (309_250, 64),
+                       "suggested": (308_162, 64),
+                       "errors_only": (308_162, 64)}),
+    ((4, 7, 4, 2), {"gao": (2_590, 8), "truong": (1_811, 8),
+                    "suggested": (1_627, 8)}),
+]
+
+
+@pytest.mark.parametrize("shape, counts", PINNED_COUNTS,
+                         ids=["rs255-l16-t8", "rs255-l0-t16", "rs15-l4-t2"])
+def test_bench_pins_the_paper_counts(shape, counts):
+    m, k, l, t = shape
+    report = bench(CodeParams(Field(m), k), 4, l=l, t=t, seed=0,
+                   strict=False)
+    assert {name: (sum(report.trial_mults[name]),
+                   sum(report.trial_iterations[name]))
+            for name in report.algorithms} == counts
+    assert report.claim_holds
 
 
 def test_bench_fixed_t(rs73):
