@@ -8,9 +8,9 @@ subpackage adds channel simulation, a brute-force reference decoder,
 operation counting, and a CLI.
 """
 
-from .codec import (CodeParams, DecodeResult, FailureCause, ReceivedWord,
-                    decode_errors_only, decode_gao, decode_suggested,
-                    decode_truong, encode, erasure_locator)
+from .codec import (DECODERS, CodeParams, DecodeResult, FailureCause,
+                    ReceivedWord, decode_errors_only, decode_gao,
+                    decode_suggested, decode_truong, encode, erasure_locator)
 from .galois import DEFAULT_PRIMITIVE_POLYS, Field
 from .key_equation import KeyEquationProblem, KeyEquationSolution
 from .key_equation import solve as solve_key_equation
@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CodeParams",
+    "DECODERS",
     "DEFAULT_PRIMITIVE_POLYS",
     "DecodeResult",
     "FailureCause",

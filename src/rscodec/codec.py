@@ -10,9 +10,10 @@ whose steps carry the labels a counter= argument sees: 0 builds the
 erasure locator L (1 when nothing is erased); 1 interpolates; 2a prepares
 the known polynomial, the modulus and an optional divisor factor; 2b
 reduces known modulo the modulus and finds W and P with W * known = P
-(mod modulus) by one partial extended Euclidean solve; 3 caps deg W at
-(d - 1 - l) / 2 and divides P by W, times the factor if any.  Steps 1 and
-2a are each algorithm's own:
+(mod modulus) by one partial extended Euclidean solve; 3 divides P by W,
+times the factor if any.  The solve's stop degree already bounds deg W
+by (d - 1 - l) / 2, so step 3 needs no separate radius check.  Steps 1
+and 2a are each algorithm's own:
 
   decode_gao           interpolate the n - l non-erased positions only;
                        modulus (x^n - 1) / L
@@ -26,6 +27,15 @@ reduces known modulo the modulus and finds W and P with W * known = P
 The gao and suggested pipelines compute identical reduced polynomials by
 two different routes, and the truong pipeline carries the same data scaled
 by the erasure locator; on any input all of them stand or fall together.
+DECODERS maps the names gao, truong and suggested to the three erasure
+pipelines, which share the signature (params, received, *, counter=None).
+
+The counter= argument is a probe: any object with a method step(label)
+that returns a context manager, entered around each step with the labels
+0, 1, 2a, 2b and 3, and a method add_iterations(n), called once inside
+step 2b with the number of Euclidean iterations.  The workbench's
+OpCounter counts field operations this way, and perfbench's TimingProbe
+times the steps.  With counter=None the steps run bare.
 
 Decode failures are values, not exceptions: out-of-range inputs raise
 ValueError, but an undecodable word returns DecodeResult.failure with a
@@ -157,8 +167,7 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
     factor is None or a polynomial that step 3 divides out besides W.
     """
     syms = _check_symbols(params, symbols)
-    l = len(erasures)
-    if l >= params.d:
+    if len(erasures) >= params.d:
         return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
 
     with _phase(counter, "0"):
@@ -176,8 +185,6 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
             counter.add_iterations(solution.iterations)
     with _phase(counter, "3"):
         error_locator = solution.locator
-        if error_locator.degree > (params.d - 1 - l) // 2:
-            return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
         divisor = error_locator if factor is None else error_locator * factor
         msg_poly, rem = divmod(solution.combination, divisor)
         if not rem.is_zero:
@@ -260,3 +267,7 @@ def decode_suggested(params: CodeParams, received: ReceivedWord, *,
     """
     return _decode(params, received.symbols, received.erasures, counter,
                    _interpolate_all, _reduced_modulus)
+
+
+DECODERS = {"gao": decode_gao, "truong": decode_truong,
+            "suggested": decode_suggested}

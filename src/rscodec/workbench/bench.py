@@ -14,18 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from ..codec import (CodeParams, decode_errors_only, decode_gao,
-                     decode_suggested, decode_truong, encode)
+from ..codec import DECODERS, CodeParams, encode
 from .channel import ChannelSpec, corrupt
 from .counters import CountingField, OpCounter
 
 STEP_ORDER = ("0", "1", "2a", "2b", "3", "other")
-
-ERASURE_DECODERS = (
-    ("gao", decode_gao),
-    ("truong", decode_truong),
-    ("suggested", decode_suggested),
-)
 
 
 class ComplexityClaimError(RuntimeError):
@@ -77,13 +70,12 @@ def _profile(decoder, params: CodeParams, received) -> tuple[OpCounter, object]:
 def bench(params: CodeParams, trials: int, *, l: int = 0,
           t: int | None = None, seed: int = 0,
           strict: bool = True) -> OpCountReport:
-    """Run the pipelines side by side on seeded random trials.
+    """Run the DECODERS pipelines side by side on seeded random trials.
 
     l is fixed for the whole run.  t is either fixed or, when None,
     sampled per trial uniformly from the decodable range 2t + l < d.
-    With l = 0 the errors-only decoder joins the comparison.  strict
-    raises ComplexityClaimError as soon as the report would record a
-    violation; pass strict=False to collect the report regardless.
+    strict raises ComplexityClaimError as soon as the report would record
+    a violation; pass strict=False to collect the report regardless.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -93,17 +85,12 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
     if t is not None and not 0 <= t <= t_max:
         raise ValueError(f"t must be in [0, {t_max}] for l = {l}, got {t}")
 
-    decoders = list(ERASURE_DECODERS)
-    if l == 0:
-        decoders.append(
-            ("errors_only",
-             lambda p, r, *, counter=None, _d=decode_errors_only:
-                 _d(p, r.symbols, counter=counter)))
-
     rng = random.Random(seed)
-    counters: dict[str, list[OpCounter]] = {name: [] for name, _ in decoders}
+    counters: dict[str, list[OpCounter]] = {name: [] for name in DECODERS}
     results_equal: list[bool] = []
     trial_ts: list[int] = []
+    mult_violations: list[int] = []
+    iteration_violations: list[int] = []
 
     for trial in range(trials):
         message = tuple(rng.randrange(params.field.order)
@@ -114,29 +101,33 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
         trial_ts.append(trial_t)
 
         outcomes = []
-        for name, decoder in decoders:
+        for name, decoder in DECODERS.items():
             counter, result = _profile(decoder, params, received)
             counters[name].append(counter)
             outcomes.append(result)
         results_equal.append(all(r == outcomes[0] for r in outcomes[1:]))
 
-        if l >= 1 and strict:
+        if l >= 1:
             sug = counters["suggested"][-1]
             tru = counters["truong"][-1]
             if sug.total_mults > tru.total_mults:
-                raise ComplexityClaimError(
-                    f"trial {trial}: suggested used {sug.total_mults} "
-                    f"multiplications, truong {tru.total_mults}")
+                mult_violations.append(trial)
+                if strict:
+                    raise ComplexityClaimError(
+                        f"trial {trial}: suggested used {sug.total_mults} "
+                        f"multiplications, truong {tru.total_mults}")
             if sug.total_iterations > tru.total_iterations:
-                raise ComplexityClaimError(
-                    f"trial {trial}: suggested took {sug.total_iterations} "
-                    f"iterations, truong {tru.total_iterations}")
+                iteration_violations.append(trial)
+                if strict:
+                    raise ComplexityClaimError(
+                        f"trial {trial}: suggested took "
+                        f"{sug.total_iterations} iterations, truong "
+                        f"{tru.total_iterations}")
 
     mean_steps: dict[str, dict[str, StepCounts]] = {}
     trial_mults: dict[str, tuple[int, ...]] = {}
     trial_iterations: dict[str, tuple[int, ...]] = {}
-    for name, _ in decoders:
-        rows = counters[name]
+    for name, rows in counters.items():
         labels = sorted({label for c in rows
                          for label in (*c.mults, *c.invs, *c.iterations)},
                         key=_step_sort_key)
@@ -151,22 +142,13 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
         trial_mults[name] = tuple(c.total_mults for c in rows)
         trial_iterations[name] = tuple(c.total_iterations for c in rows)
 
-    mult_violations = ()
-    iteration_violations = ()
-    if l >= 1 and trials:
-        sug_m, tru_m = trial_mults["suggested"], trial_mults["truong"]
-        sug_i, tru_i = trial_iterations["suggested"], trial_iterations["truong"]
-        mult_violations = tuple(i for i in range(trials) if sug_m[i] > tru_m[i])
-        iteration_violations = tuple(
-            i for i in range(trials) if sug_i[i] > tru_i[i])
-
     return OpCountReport(
         n=params.n, k=params.k, l=l, trials=trials,
         mean_steps=mean_steps, trial_mults=trial_mults,
         trial_iterations=trial_iterations, trial_t=tuple(trial_ts),
         agreements=tuple(results_equal),
-        mult_violations=mult_violations,
-        iteration_violations=iteration_violations)
+        mult_violations=tuple(mult_violations),
+        iteration_violations=tuple(iteration_violations))
 
 
 def _step_sort_key(label: str):

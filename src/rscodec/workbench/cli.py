@@ -1,8 +1,10 @@
 """Command-line workbench for the codec.
 
-Subcommands: encode, corrupt, decode, bench, selftest.  Exit status 0 on
-success, 1 when decoding fails or a check does not hold, 2 on usage or
-input-format errors.
+Subcommands: encode, corrupt, decode, bench.  decode's --algorithm takes
+a name from rscodec.DECODERS, or errors-only, which is suggested on
+blocks that carry no erasures and refuses blocks that do.  Exit status 0
+on success, 1 when decoding fails or bench sees suggested cost more than
+truong, 2 on usage or input-format errors.
 """
 
 from __future__ import annotations
@@ -12,24 +14,11 @@ import contextlib
 import random
 import sys
 
-from ..codec import (CodeParams, FailureCause, ReceivedWord,
-                     decode_errors_only, decode_gao, decode_suggested,
-                     decode_truong, encode)
-from ..galois import DEFAULT_PRIMITIVE_POLYS, Field
-from ..polynomial import Poly
-from ..spectral import cyclotomic_quotient, interpolate_all, interpolate_subset
+from ..codec import DECODERS, CodeParams, decode_suggested, encode
+from ..galois import Field
 from . import blockio
-from .bench import ComplexityClaimError, bench, format_report, write_csv
+from .bench import bench, format_report, write_csv
 from .channel import ChannelSpec, corrupt
-from .counters import CountingField, OpCounter
-from .oracle import oracle_decode
-
-ALGORITHMS = {
-    "gao": decode_gao,
-    "truong": decode_truong,
-    "suggested": decode_suggested,
-    "errors-only": lambda p, word: decode_errors_only(p, word.symbols),
-}
 
 USAGE_ERROR = 2
 DECODE_ERROR = 1
@@ -155,7 +144,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     with _open_in(args.infile) as src:
         params, blocks = blockio.read_blocks(src)
     _check_params_match(args, params)
-    decoder = ALGORITHMS[args.algorithm]
+    # errors-only is suggested on a block with no erasures
+    decoder = DECODERS.get(args.algorithm, decode_suggested)
     failures = 0
     with _open_out(args.outfile) as dst:
         for index, block in enumerate(blocks):
@@ -193,101 +183,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selftest_checks(seed: int):
-    rng = random.Random(seed)
-
-    def radius_roundtrip() -> bool:
-        params = CodeParams(Field(3), 3)
-        pairs = [(t, l) for t in range(params.d) for l in range(params.d)
-                 if 2 * t + l < params.d]
-        for _ in range(120):
-            message = tuple(rng.randrange(8) for _ in range(3))
-            t, l = pairs[rng.randrange(len(pairs))]
-            spec = ChannelSpec(t=t, l=l, seed=rng.getrandbits(32))
-            received = corrupt(params, encode(params, message), spec)
-            for decoder in (decode_gao, decode_truong, decode_suggested):
-                if decoder(params, received).message != message:
-                    return False
-            if l == 0:
-                if decode_errors_only(params, received.symbols).message != message:
-                    return False
-        return True
-
-    def reduction_identity() -> bool:
-        field = Field(4)
-        n = field.n
-        for _ in range(60):
-            l = rng.randrange(n - 1)
-            erased = sorted(rng.sample(range(n), l))
-            values = [0 if i in set(erased) else rng.randrange(field.order)
-                      for i in range(n)]
-            locator = Poly.one(field)
-            for pos in erased:
-                locator = locator * Poly(field, [field.alpha_pow(pos), 1])
-            full = interpolate_all(field, values)
-            points = [(i, values[i]) for i in range(n) if i not in set(erased)]
-            reduced = full % cyclotomic_quotient(locator, n)
-            # the plain field's interpolate_subset computes this same
-            # reduction, so the scalar Lagrange loop is checked as well
-            lagrange = interpolate_subset(CountingField(field, OpCounter()),
-                                          points)
-            if (reduced != interpolate_subset(field, points)
-                    or reduced != lagrange):
-                return False
-        return True
-
-    def degenerate_erasures() -> bool:
-        params = CodeParams(Field(3), 3)
-        message = (1, 5, 2)
-        codeword = encode(params, message)
-        wiped = ReceivedWord(codeword, erasures=tuple(range(params.d - 1)))
-        over = ReceivedWord(codeword, erasures=tuple(range(params.d)))
-        for decoder in (decode_gao, decode_truong, decode_suggested):
-            if decoder(params, wiped).message != message:
-                return False
-            if decoder(params, over).cause is not FailureCause.DEGREE_OVERFLOW:
-                return False
-        return True
-
-    def oracle_agreement() -> bool:
-        params = CodeParams(Field(3), 3)
-        for _ in range(40):
-            message = tuple(rng.randrange(8) for _ in range(3))
-            t, l = rng.choice([(2, 0), (1, 2), (0, 4), (1, 0)])
-            spec = ChannelSpec(t=t, l=l, seed=rng.getrandbits(32))
-            received = corrupt(params, encode(params, message), spec)
-            expect = oracle_decode(params, received)
-            for decoder in (decode_gao, decode_truong, decode_suggested):
-                if decoder(params, received) != expect:
-                    return False
-        return True
-
-    def count_claim() -> bool:
-        params = CodeParams(Field(4), 7)
-        try:
-            report = bench(params, 10, l=2, t=2, seed=rng.getrandbits(32))
-        except ComplexityClaimError:
-            return False
-        return report.claim_holds
-
-    return [("radius roundtrip", radius_roundtrip),
-            ("reduction identity", reduction_identity),
-            ("degenerate erasures", degenerate_erasures),
-            ("oracle agreement", oracle_agreement),
-            ("count claim", count_claim)]
-
-
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    status = 0
-    for name, check in _selftest_checks(args.seed):
-        if check():
-            print(f"ok: {name}")
-        else:
-            print(f"FAIL: {name}")
-            status = DECODE_ERROR
-    return status
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rscodec",
@@ -313,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decode", help="decode a block file to message lines")
     _field_args(p_dec, required=False)
     _io_args(p_dec)
-    p_dec.add_argument("--algorithm", choices=sorted(ALGORITHMS),
+    p_dec.add_argument("--algorithm",
+                       choices=sorted([*DECODERS, "errors-only"]),
                        default="suggested")
     p_dec.set_defaults(handler=_cmd_decode)
 
@@ -328,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write mean per-step counts as CSV")
     p_ben.set_defaults(handler=_cmd_bench)
 
-    p_st = sub.add_parser("selftest", help="run built-in consistency checks")
-    p_st.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_st.set_defaults(handler=_cmd_selftest)
-
     return parser
 
 
@@ -343,10 +235,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.handler(args)
-    except (UsageError, blockio.BlockFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # UsageError, BlockFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -165,13 +165,6 @@ def test_bench_rejects_bad_shape(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_selftest(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok: ") == 5
-    assert "FAIL" not in out
-
-
 def test_block_file_round_trip(tmp_path, rs73):
     from rscodec import ReceivedWord
     from rscodec.workbench import blockio
@@ -258,3 +251,31 @@ def test_prim_poly_flag_is_accepted(tmp_path, token, capsys):
     assert main(["encode", "--m", "8", "--k", "3", f"--prim-poly={token}",
                  "--in", message]) == 0
     assert capsys.readouterr().out.startswith("rs 255 3 8 0x11d\n")
+
+
+# ------------------------------------------------------------ parser edges
+
+CLEAN_BLOCK = "rs 7 3 3 0xb\n0 2 3 3 0 1 2\n"  # the message 1 2 3
+
+
+@pytest.mark.parametrize("text", [
+    CLEAN_BLOCK.replace("\n", "\r\n"),
+    CLEAN_BLOCK.rstrip("\n"),
+], ids=["crlf", "no-final-newline"])
+def test_line_ending_variants_decode(tmp_path, text, capsys):
+    path = tmp_path / "blocks.txt"
+    path.write_bytes(text.encode())
+    assert main(["decode", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "1 2 3\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (" \t\n  \n", "missing header line"),
+    ("rs 99999999999 5 99999999999 0x11d\n", "bad code parameters"),
+    (f"rs 7 {10**20} 3 0xb\n0 0 0 0 0 0 0\n", "bad code parameters"),
+    ("rs 7 3 3 0xb\n0 2 3 3 0\n", "line 2: expected 7 symbols, got 5"),
+], ids=["blank-header", "huge-header", "huge-k", "truncated-last-line"])
+def test_malformed_block_file_is_rejected(tmp_path, text, message, capsys):
+    path = write_lines(tmp_path / "blocks.txt", text)
+    assert main(["decode", "--in", path]) == 2
+    assert message in capsys.readouterr().err

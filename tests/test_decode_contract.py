@@ -9,7 +9,9 @@ GF(2^10), go through all four decoders.  On every word:
   - every ok result re-encodes within (d - 1 - l) / 2 of the non-erased
     symbols;
   - gao, truong and suggested return the same result;
-  - decode_errors_only(p, s) equals decode_suggested(p, ReceivedWord(s)).
+  - decode_errors_only(p, s) equals decode_suggested(p, ReceivedWord(s)),
+    and on a CountingField it spends the same multiplications,
+    inversions and iterations in every step.
 
 The counted path pays a schoolbook transform, O(n^2) calls to field.mul,
 and takes seconds per word at m = 10, so the CountingField comparison runs
@@ -96,3 +98,20 @@ def test_plain_and_counted_decoders_meet_the_contract(case):
 @given(words((9, 10)))
 def test_large_field_decoders_meet_the_contract(case):
     check_contract(*case)
+
+
+def counted_steps(decoder, params, received):
+    """The result and the per-step counts of one counted decode."""
+    counter = OpCounter()
+    counted = CodeParams(CountingField(params.field, counter), params.k)
+    result = decoder(counted, received, counter=counter)
+    return result, counter.mults, counter.invs, counter.iterations
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(words(range(3, 9)))
+def test_errors_only_costs_what_suggested_costs(case):
+    params, _, word, _ = case
+    assert (counted_steps(decode_errors_only, params, word.symbols)
+            == counted_steps(decode_suggested, params,
+                             ReceivedWord(word.symbols)))

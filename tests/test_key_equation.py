@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bruteforce import tracked_euclid, trim
 from rscodec import (
+    Field,
     KeyEquationProblem,
     Poly,
     evaluate_all,
@@ -13,6 +16,8 @@ from rscodec import (
     solve_key_equation,
     xn_minus_one,
 )
+from rscodec.polynomial import ROW_KERNEL_MIN_LEN
+from rscodec.workbench import CountingField, OpCounter
 
 
 def rand_problem(rng, field, max_modulus_degree):
@@ -107,3 +112,42 @@ def test_locator_degree_bound(gf16):
         solution = solve_key_equation(problem)
         assert solution.locator.degree <= (problem.modulus.degree
                                            - problem.stop_degree)
+
+
+GF256 = Field(8)
+SYMBOLS = st.integers(0, GF256.order - 1)
+XN_MINUS_ONE = [1] + [0] * (GF256.n - 1) + [1]
+
+
+@st.composite
+def long_problems(draw):
+    """(modulus, known, stop_degree) coefficient lists, the modulus monic
+    with at least ROW_KERNEL_MIN_LEN coefficients, so a plain Field takes
+    the numpy row path."""
+    degree = draw(st.integers(ROW_KERNEL_MIN_LEN - 1, 80))
+    modulus = draw(st.lists(SYMBOLS, min_size=degree, max_size=degree)) + [1]
+    known = draw(st.lists(SYMBOLS, max_size=degree))
+    return modulus, known, draw(st.integers(1, degree))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(long_problems())
+@example(([1] * 40, [], 39))
+@example(([1] * 40, [], 1))
+@example(([1] * 40, [7] * 39, 39))
+@example((XN_MINUS_ONE, list(range(1, 255)), 239))
+@example((XN_MINUS_ONE, [3] * 200, 128))
+def test_locator_degree_bound_on_both_solve_paths(case):
+    # the decoders rely on this bound in place of a radius check: with
+    # stop_degree = ceil((deg M + k + deg factor) / 2) it caps deg W at
+    # (d - 1 - l) / 2
+    modulus, known, stop = case
+    answers = []
+    for field in (GF256, CountingField(GF256, OpCounter())):
+        solution = solve_key_equation(KeyEquationProblem(
+            modulus=Poly(field, modulus), known=Poly(field, known),
+            stop_degree=stop))
+        assert solution.locator.degree <= len(modulus) - 1 - stop
+        answers.append((solution.locator.coeffs, solution.combination.coeffs,
+                        solution.iterations))
+    assert answers[0] == answers[1]

@@ -6,12 +6,14 @@ import random
 import pytest
 
 from rscodec import (
+    DECODERS,
     CodeParams,
     FailureCause,
     Field,
     Poly,
     ReceivedWord,
     decode_suggested,
+    decode_truong,
     encode,
 )
 from rscodec.workbench import (
@@ -240,18 +242,6 @@ def test_bench_all_pipelines_agree(rs73):
     assert report.claim_holds
 
 
-def test_bench_without_erasures_includes_errors_only(rs73):
-    report = bench(rs73, 20, l=0, seed=2)
-    assert "errors_only" in report.algorithms
-    # with no erasures the reduced-modulus pipeline degenerates to the
-    # plain decoder: identical work in every shared step
-    for label in ("1", "2b", "3"):
-        assert (report.mean_steps["suggested"][label]
-                == report.mean_steps["errors_only"][label])
-    assert (report.trial_mults["suggested"]
-            == report.trial_mults["errors_only"])
-
-
 # Totals over bench(..., trials=4, seed=0): (mults, iterations) per decoder.
 # These are the paper's counts as the counted pipelines measure them; a
 # change to any pipeline that moves one must say why.
@@ -259,8 +249,7 @@ PINNED_COUNTS = [
     ((8, 223, 16, 8), {"gao": (955_752, 32), "truong": (317_701, 32),
                        "suggested": (315_045, 32)}),
     ((8, 223, 0, 16), {"gao": (1_090_502, 64), "truong": (309_250, 64),
-                       "suggested": (308_162, 64),
-                       "errors_only": (308_162, 64)}),
+                       "suggested": (308_162, 64)}),
     ((4, 7, 4, 2), {"gao": (2_590, 8), "truong": (1_811, 8),
                     "suggested": (1_627, 8)}),
 ]
@@ -323,6 +312,26 @@ def test_write_csv(tmp_path, rs73):
     assert algorithms == {"gao", "truong", "suggested"}
     for row in rows[1:]:
         float(row[2]), float(row[3]), float(row[4])
+
+
+def test_bench_records_and_raises_claim_violations(rs73, monkeypatch):
+    # a suggested that always costs one multiplication and one iteration
+    # more than truong breaks the claim on every trial
+    def wasteful(params, received, *, counter=None):
+        result = decode_truong(params, received, counter=counter)
+        params.field.mul(1, 1)
+        counter.add_iterations(1)
+        return result
+
+    monkeypatch.setitem(DECODERS, "suggested", wasteful)
+    report = bench(rs73, 3, l=1, seed=0, strict=False)
+    assert report.mult_violations == (0, 1, 2)
+    assert report.iteration_violations == (0, 1, 2)
+    assert not report.claim_holds
+    with pytest.raises(ComplexityClaimError, match="trial 0: suggested used"):
+        bench(rs73, 3, l=1, seed=0)
+    # the claim is checked only with erasures
+    assert bench(rs73, 3, l=0, seed=0).claim_holds
 
 
 def test_complexity_claim_error_is_runtime_error():
