@@ -135,14 +135,7 @@ def encode(params: CodeParams, message) -> tuple[int, ...]:
 
 def erasure_locator(params: CodeParams, positions) -> Poly:
     """Monic product of (x - alpha^pos) over the erased positions."""
-    field = params.field
-    pos_list = check_positions(positions, params.n)
-    if type(field) is Field:
-        return root_product(field, pos_list)
-    locator = Poly.one(field)
-    for pos in pos_list:
-        locator = locator * Poly._make(field, [field.alpha_pow(pos), 1])
-    return locator
+    return root_product(params.field, check_positions(positions, params.n))
 
 
 def _phase(counter, label: str):

@@ -117,11 +117,6 @@ class Field:
         """antilog_table[j] = alpha**j for j in [0, 2^m - 1)."""
         return self._exp[:self.n]
 
-    @property
-    def log_table(self) -> tuple[int, ...]:
-        """log_table[e] = discrete log of e; index 0 is an unused slot."""
-        return self._log
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Field):
             return NotImplemented

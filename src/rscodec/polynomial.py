@@ -5,15 +5,15 @@ stored coefficient is nonzero, and the zero polynomial stores nothing at
 all.  Its degree is the MINUS_INF sentinel rather than any integer, so a
 degree comparison can never confuse the zero polynomial with a constant.
 
-Multiplication, division, evaluation and scaling have two paths.  On a
-plain Field they index its log/antilog tables inline and skip zero
-operands; a division by a divisor of at least ROW_KERNEL_MIN_LEN
+Multiplication, division, evaluation, scaling and root_product have two
+paths.  On a plain Field they index its log/antilog tables inline and
+skip zero operands; a division by a divisor of at least ROW_KERNEL_MIN_LEN
 coefficients goes further and subtracts each quotient row as one numpy
-gather-and-XOR (divide_rows), which the key-equation solver shares.  Any
-other field context, such as the workbench's CountingField, takes the
+gather-and-XOR (divide_rows), which the key-equation solver shares.  A
+Field subclass, such as the workbench's CountingField, takes the
 reference loops, which route every product through field.mul and every
-inversion through field.inv so that a wrapper sees them all.  Both paths
-give bit-identical results, as plain ints.
+inversion through field.inv so that the subclass sees them all.  Both
+paths give bit-identical results, as plain ints.
 """
 
 from __future__ import annotations
@@ -279,11 +279,18 @@ def xn_minus_one(field: Field, n: int) -> Poly:
 
 
 def root_product(field: Field, exponents: Iterable[int]) -> Poly:
-    """Monic product of (x - alpha^e) over the exponents, on a plain Field.
+    """Monic product of (x - alpha^e) over the exponents, e in [0, n).
 
-    Multiplies by each factor in place through the log tables; log(alpha^e)
-    is e itself, so every exponent must lie in [0, n).
+    On a plain Field each factor multiplies in place through the log
+    tables, where log(alpha^e) is e itself.  Any other field context
+    multiplies one Poly factor at a time, so every product goes through
+    field.mul.
     """
+    if type(field) is not Field:
+        product = Poly.one(field)
+        for e in exponents:
+            product = product * Poly._make(field, [field.alpha_pow(e), 1])
+        return product
     exp, log = field._exp, field._log
     coeffs = [1]
     for e in exponents:

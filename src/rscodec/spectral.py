@@ -4,9 +4,8 @@ The evaluation points are the n = 2^m - 1 powers of alpha, so a length-n
 value vector is the spectrum of a polynomial of degree < n.  n is odd,
 which makes n * x = x in characteristic 2; the inverse transform therefore
 needs no 1/n scaling.  Both directions are the same length-n DFT over the
-powers of alpha; interpolation reads it at alpha^-j.
-
-Each direction has two paths, chosen by the field context:
+powers of alpha: interpolate_all is evaluate_all of the value vector read
+at alpha^-j, so only evaluate_all chooses a path, by the field context:
 
   dense kernel  a plain Field with m <= DENSE_MAX_M.  One numpy kernel in
                 the log domain, out[i] = XOR_j exp[log c_j + (i*j mod n)]
@@ -46,8 +45,8 @@ interpolate_subset, through the n - l surviving positions, has two paths:
                 M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e is
                 one Horner evaluation of the odd part, followed by the same
                 sparse inverse transform as the closed form.
-  Lagrange loop everything else, CountingField included: the survivors'
-                master polynomial, then one basis division and evaluation
+  Lagrange loop everything else, CountingField included: root_product of
+                the survivors, then one basis division and evaluation
                 per survivor, so the workbench counts the paper's gao
                 interpolation.
 """
@@ -123,19 +122,15 @@ def evaluate_all(p: Poly, n: int) -> tuple[int, ...]:
 def interpolate_all(field: Field, values: Sequence[int]) -> Poly:
     """The unique polynomial of degree < n with p(alpha^i) = values[i].
 
-    Inverse of evaluate_all.  Coefficient j comes out as V(alpha^-j) where
-    V is the polynomial whose coefficients are the values themselves.
+    Inverse of evaluate_all.  Coefficient j is V(alpha^-j), where V is the
+    polynomial whose coefficients are the values themselves: evaluate_all
+    of V read at rows 0, n-1, n-2, ..., 1.
     """
     n = field.n
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
-    vpoly = Poly(field, values)
-    if _uses_dense_kernel(field):
-        spectrum = _dense_dft(field, vpoly.coeffs).tolist()
-        # coefficient j sits at row (-j) mod n: rows 0, n-1, n-2, ..., 1
-        return Poly._make(field, spectrum[:1] + spectrum[:0:-1])
-    return Poly._make(
-        field, [vpoly.evaluate(field.alpha_pow(-j)) for j in range(n)])
+    spectrum = evaluate_all(Poly(field, values), n)
+    return Poly._make(field, [spectrum[0], *spectrum[:0:-1]])
 
 
 def check_positions(positions, n: int) -> tuple[int, ...]:
@@ -185,10 +180,10 @@ def interpolate_subset(field: Field, points: Sequence[tuple[int, int]]) -> Poly:
             for e in missing]
         return full % _from_root_values(field, missing, value_logs)
 
+    for _, value in points:
+        field.check_element(value)
+    master = root_product(field, [pos for pos, _ in points])
     xs = [field.alpha_pow(pos) for pos, _ in points]
-    master = Poly.one(field)
-    for x in xs:
-        master = master * Poly._make(field, [x, 1])
 
     acc = Poly.zero(field)
     fmul = field.mul

@@ -130,7 +130,7 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
     for name, rows in counters.items():
         labels = sorted({label for c in rows
                          for label in (*c.mults, *c.invs, *c.iterations)},
-                        key=_step_sort_key)
+                        key=STEP_ORDER.index)
         per_step = {}
         for label in labels:
             count = max(len(rows), 1)
@@ -149,13 +149,6 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
         agreements=tuple(results_equal),
         mult_violations=tuple(mult_violations),
         iteration_violations=tuple(iteration_violations))
-
-
-def _step_sort_key(label: str):
-    try:
-        return (0, STEP_ORDER.index(label))
-    except ValueError:
-        return (1, label)
 
 
 def format_report(report: OpCountReport) -> str:

@@ -33,8 +33,6 @@ def _field_args(parser: argparse.ArgumentParser, required: bool) -> None:
                         help="extension degree of GF(2^m)")
     parser.add_argument("--prim-poly", type=_hex_int, default=None,
                         metavar="HEX", help="primitive polynomial bits, hex")
-    parser.add_argument("--n", type=int, default=None,
-                        help="block length; must equal 2^m - 1")
     parser.add_argument("--k", type=int, required=required,
                         help="message length")
 
@@ -54,14 +52,7 @@ def _io_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args: argparse.Namespace) -> CodeParams:
-    if args.m is None:
-        raise UsageError("--m is required")
-    field = Field(args.m, args.prim_poly)
-    if args.n is not None and args.n != field.n:
-        raise UsageError(f"--n {args.n} does not match 2^{args.m} - 1 = {field.n}")
-    if args.k is None:
-        raise UsageError("--k is required")
-    return CodeParams(field, args.k)
+    return CodeParams(Field(args.m, args.prim_poly), args.k)
 
 
 def _check_params_match(args: argparse.Namespace, params: CodeParams) -> None:
@@ -70,8 +61,6 @@ def _check_params_match(args: argparse.Namespace, params: CodeParams) -> None:
         raise UsageError(f"--m {args.m} does not match file header m = {field.m}")
     if args.k is not None and args.k != params.k:
         raise UsageError(f"--k {args.k} does not match file header k = {params.k}")
-    if args.n is not None and args.n != params.n:
-        raise UsageError(f"--n {args.n} does not match file header n = {params.n}")
     if args.prim_poly is not None and args.prim_poly != field.prim_poly:
         raise UsageError(f"--prim-poly 0x{args.prim_poly:x} does not match "
                          f"file header 0x{field.prim_poly:x}")

@@ -1,9 +1,10 @@
 """Instrumented field arithmetic for comparing decoder pipelines.
 
-Only multiplications and inversions are tallied; additions are single
-XORs and are dominated by everything else.  The polynomial kernels do a
-fixed amount of work per operand degree, so two runs over the same input
-always produce the same counts.
+CountingField is a Field that tallies every multiplication and
+inversion in an OpCounter; additions are single XORs and go uncounted.
+The table-driven kernels run on a plain Field only, so a CountingField
+takes the reference loops, which do a fixed amount of work per operand
+degree: two runs over the same input always produce the same counts.
 """
 
 from __future__ import annotations
@@ -63,49 +64,30 @@ class OpCounter:
                 f"invs={self.total_invs}, iterations={self.total_iterations})")
 
 
-class CountingField:
-    """Duck-typed Field wrapper that reports mul and inv to a counter.
+class CountingField(Field):
+    """The base field, sharing its tables, with mul and inv counted.
 
-    Shares the wrapped field's tables; everything else delegates.  Poly
-    and the decoders only compare field contexts by (m, prim_poly), so
-    polynomials built on the wrapper mix freely with plain ones.
+    It compares and hashes equal to the base, so polynomials built on it
+    mix freely with plain ones.
     """
 
-    __slots__ = ("base", "counter", "m", "prim_poly", "order", "n", "alpha")
+    __slots__ = ("counter",)
+
+    _field_mul = Field.mul
+    _field_inv = Field.inv
 
     def __init__(self, base: Field, counter: OpCounter):
-        self.base = base
+        for name in Field.__slots__:
+            setattr(self, name, getattr(base, name))
         self.counter = counter
-        self.m = base.m
-        self.prim_poly = base.prim_poly
-        self.order = base.order
-        self.n = base.n
-        self.alpha = base.alpha
 
     def mul(self, a: int, b: int) -> int:
         self.counter.add_mul()
-        return self.base.mul(a, b)
+        return self._field_mul(a, b)
 
     def inv(self, a: int) -> int:
         self.counter.add_inv()
-        return self.base.inv(a)
-
-    def alpha_pow(self, j: int) -> int:
-        return self.base.alpha_pow(j)
-
-    def log(self, a: int) -> int:
-        return self.base.log(a)
-
-    def check_element(self, a: int) -> int:
-        return self.base.check_element(a)
-
-    @property
-    def antilog_table(self) -> tuple[int, ...]:
-        return self.base.antilog_table
-
-    @property
-    def log_table(self) -> tuple[int, ...]:
-        return self.base.log_table
+        return self._field_inv(a)
 
     def __repr__(self) -> str:
-        return f"CountingField({self.base!r})"
+        return f"CountingField({Field.__repr__(self)})"

@@ -50,7 +50,7 @@ def oracle_decode(params: CodeParams, received: ReceivedWord) -> DecodeResult:
     must be an uncounted Field (the table is cached per code).
     """
     field, k = params.field, params.k
-    if not isinstance(field, Field):
+    if type(field) is not Field:
         raise ValueError("oracle_decode requires a plain Field context")
     if field.order ** k > MAX_MESSAGES:
         raise ValueError(

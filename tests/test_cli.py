@@ -124,8 +124,8 @@ def test_usage_errors(tmp_path, message_file, capsys):
     # argparse rejections surface as exit 2
     assert main([]) == 2
     assert main(["decode", "--algorithm", "bogus", "--in", str(blocks)]) == 2
-    # n that contradicts m
-    assert main(["encode", "--m", "3", "--k", "3", "--n", "15",
+    # n is 2^m - 1, so there is no --n flag
+    assert main(["encode", "--m", "3", "--k", "3", "--n", "7",
                  "--in", message_file]) == 2
     # header mismatch against explicit flags
     assert main(["decode", "--k", "5", "--in", str(blocks)]) == 2

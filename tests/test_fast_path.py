@@ -310,20 +310,21 @@ def test_subset_interpolation_matches_scalar(case):
 
 
 def test_subset_interpolation_dispatch(monkeypatch):
-    # the reduction route multiplies no polynomials; the Lagrange loop
-    # builds the survivors' master polynomial one factor at a time
+    # the reduction route makes one division, P mod M; the Lagrange loop
+    # divides the survivors' master polynomial once per survivor
     calls = []
-    mul = Poly.__mul__
+    divmod_ = Poly.__divmod__
 
     def spy(self, other):
         calls.append(type(self.field) is Field)
-        return mul(self, other)
+        return divmod_(self, other)
 
-    monkeypatch.setattr(Poly, "__mul__", spy)
+    monkeypatch.setattr(Poly, "__divmod__", spy)
     points = [(pos, pos % 5) for pos in range(1, 7)]
     for field in (FIELDS[3], FIELDS[DENSE_MAX_M]):
         interpolate_subset(field, points)
-    assert calls == []
+    assert calls == [True, True]
+    calls.clear()
     interpolate_subset(scalar(FIELDS[4]), points)
     interpolate_subset(Field(11), points)
     assert calls == [False] * len(points) + [True] * len(points)

@@ -190,6 +190,15 @@ def test_counting_field_counts_mul_and_inv_only(gf8):
     assert counter.total_invs == 1
 
 
+def test_counting_field_is_a_field_equal_to_its_base(gf8):
+    counted = CountingField(gf8, OpCounter())
+    assert isinstance(counted, Field)
+    assert counted == gf8 and gf8 == counted
+    assert hash(counted) == hash(gf8)
+    assert counted != Field(3, 0xD)
+    assert repr(counted) == f"CountingField({gf8!r})"
+
+
 def test_counting_field_drives_polynomials(gf8):
     counter = OpCounter()
     counted = CountingField(gf8, counter)
