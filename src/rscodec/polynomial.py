@@ -37,16 +37,16 @@ ROW_KERNEL_MIN_LEN = 32
 def row_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     """Antilog and log tables of a plain Field as read-only intp arrays.
 
-    log maps 0 to 2n and exp is zero from 2n on, so exp[log a + e] is
-    a * alpha^e for every element a, zero included, and every index with
-    0 <= e < n stays below 3n.  Field hashes by (m, prim_poly), so each
-    field's tables are built once per process.
+    exp[e] = alpha^e for 0 <= e < 3n and is zero from 3n to 5n, and log
+    maps 0 to 3n.  So exp[log a + e] is a * alpha^e for every element a,
+    zero included, whenever 0 <= e < 2n.  Field hashes by (m, prim_poly),
+    so each field's tables are built once per process.
     """
     n = field.n
-    exp = np.zeros(3 * n, dtype=np.intp)
-    exp[:2 * n] = field._exp
+    exp = np.zeros(5 * n, dtype=np.intp)
+    exp[:3 * n] = field._exp + field._exp[:n]
     log = np.array(field._log, dtype=np.intp)
-    log[0] = 2 * n
+    log[0] = 3 * n
     exp.flags.writeable = False
     log.flags.writeable = False
     return exp, log
@@ -57,7 +57,7 @@ def divide_rows(field: Field, rem: np.ndarray, den_logs: np.ndarray) -> list[int
 
     rem is an intp coefficient array at least as long as the divisor,
     whose leading coefficient must be nonzero; den_logs comes from
-    row_tables' log, so zero coefficients map to 2n.  Returns the
+    row_tables' log, so zero coefficients map to 3n.  Returns the
     quotient as a list of ints; afterwards rem[:len(den_logs) - 1] holds
     the remainder and every higher entry is zero.
     """

@@ -7,21 +7,41 @@ needs no 1/n scaling.  Both directions are the same length-n DFT over the
 powers of alpha: interpolate_all is evaluate_all of the value vector read
 at alpha^-j, so only evaluate_all chooses a path, by the field context:
 
-  dense kernel  a plain Field with m <= DENSE_MAX_M.  One numpy kernel in
-                the log domain, out[i] = XOR_j exp[log c_j + (i*j mod n)]
-                over the nonzero c_j, with the (i*j mod n) table built on
-                first use and cached per (m, prim_poly).
-  Horner loop   everything else: n Horner evaluations through Poly.evaluate,
-                O(n^2) field multiplications.  CountingField always takes
-                it, so the workbench's operation counts are those of the
-                schoolbook transform.  A plain Field above DENSE_MAX_M
-                takes it too, on Poly's table-driven arithmetic, because
-                the n x n table would grow past a few megabytes.
+  prime-factor kernel  a plain Field, any m.  All arithmetic is in the
+                log domain: log maps 0 to 3n and exp is zero from 3n on,
+                so a zero coefficient adds exp[3n + e] = 0 with no mask.
+  Horner loop   a CountingField only: n Horner evaluations through
+                Poly.evaluate, O(n^2) counted multiplications, so the
+                workbench's operation counts are those of the schoolbook
+                transform.
 
 The two paths are bit-exact, and both return plain ints.
 
-cyclotomic_quotient, Q = (x^n - 1) / locator, has two paths as well.  The
-dense kernel's field takes a closed form when n > ROW_KERNEL_MIN_LEN and
+The kernel follows a plan built on first use and cached per field.  From
+n = PRIME_FACTOR_MIN_N = 255 on, n splits into pairwise coprime prime
+powers n_1 ... n_K (255 = 3 * 5 * 17, 4095 = 9 * 5 * 7 * 13), and the
+Good-Thomas maps turn the DFT into one small DFT per factor with no
+twiddles.  Coefficient j = sum_k j_k (n / n_k) mod n goes to cell
+(j_1, ..., j_K) of an n_1 x ... x n_K array, and out[i] is read from the
+cell (i mod n_1, ..., i mod n_K).  Then i*j = sum_k (n / n_k)(i_k j_k
+mod n_k) mod n, so alpha^(ij) is a product over the factors, and stage k
+is the DFT along axis k:
+
+    x[.., i_k, ..] = XOR over j_k of exp[E_k[j_k, i_k] + log x[.., j_k, ..]]
+    with E_k[j, i] = (n / n_k)(i*j mod n_k),
+
+an n_k x n_k table.  The work is n * (n_1 + ... + n_K) lookups instead of
+n^2.  Each stage reduces over the array's first axis, which holds j_k,
+and moves the resulting i_k axis to the back, so the next factor's axis
+comes first.  Below 255 one dense stage over all n is faster; its table
+is i*j mod n, at most 127 x 127, and a transform of k coefficients reads
+only its first k rows.  A prime n from
+255 on (m = 13) keeps no table: it is one stage whose rows are computed
+per chunk, as in the sparse reads below.  Every stage runs in chunks of
+output rows so that no temporary holds more than CHUNK_ENTRIES entries.
+
+cyclotomic_quotient, Q = (x^n - 1) / locator, has two paths as well.  A
+plain Field takes a closed form when n > ROW_KERNEL_MIN_LEN and
 1 <= deg(locator) < n.  Differentiating x^n - 1 = locator * Q gives
 x^(n-1) = locator' * Q at each root a = alpha^e of the locator, since
 locator(a) = 0 and n is odd, so
@@ -30,31 +50,37 @@ locator(a) = 0 and n is odd, so
 
 where locator_odd, the odd-degree terms, equals x * locator'.  Q vanishes
 at every other alpha^i, and deg Q < n, so Q is one inverse transform read
-over only the l root rows of the index table.  Everything else,
-CountingField included, takes the long division of x^n - 1.
+over only the l root rows.  Below 255 these sparse transforms read their
+rows (e*j mod n) from the single stage's table; from 255 on they compute
+them: for x = e*j < n^2, x mod n is congruent to (x & n) + (x >> m),
+which is below 2n, and exp is periodic up to 3n.
+Everything else, CountingField included, takes the long division of
+x^n - 1.
 
 interpolate_subset, through the n - l surviving positions, has two paths:
 
-  dense kernel  P mod M, where P interpolates the zero-filled length-n
-                vector and M = (x^n - 1) / locator is the product of
-                (x - alpha^i) over the survivors, locator the product over
-                the l missing positions.  P mod M has degree < n - l and
-                equals P, hence the value, at every survivor, so it is the
-                unique interpolant.  M is built from its values: the
-                positions are known, so no root search is needed, and
-                M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e is
-                one Horner evaluation of the odd part, followed by the same
-                sparse inverse transform as the closed form.
-  Lagrange loop everything else, CountingField included: root_product of
-                the survivors, then one basis division and evaluation
-                per survivor, so the workbench counts the paper's gao
-                interpolation.
+  reduction     a plain Field: P mod M, where P interpolates the
+                zero-filled length-n vector and M = (x^n - 1) / locator is
+                the product of (x - alpha^i) over the survivors, locator
+                the product over the l missing positions.  P mod M has
+                degree < n - l and equals P, hence the value, at every
+                survivor, so it is the unique interpolant.  M is built
+                from its values: the positions are known, so no root
+                search is needed, and M(alpha^e) = 1 / locator_odd(alpha^e)
+                at each missing e is one Horner evaluation of the odd
+                part, followed by the same sparse inverse transform as the
+                closed form.  Both cost O(l^2), so with fewer survivors
+                than missing positions M is root_product of the survivors.
+  Lagrange loop a CountingField only: root_product of the survivors, then
+                one basis division and evaluation per survivor, so the
+                workbench counts the paper's gao interpolation.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,46 +88,145 @@ from .galois import Field
 from .polynomial import (ROW_KERNEL_MIN_LEN, Poly, root_product, row_tables,
                          xn_minus_one)
 
-# Largest m with a dense table: n x n uint16 entries, 2 MB at m = 10.
-DENSE_MAX_M = 10
+# Shortest n that the prime-factor plan serves; below it one dense stage
+# over all n is faster.
+PRIME_FACTOR_MIN_N = 255
+# Most entries a kernel temporary may hold; larger stages run in chunks.
+CHUNK_ENTRIES = 1 << 20
+
+
+class _Plan(NamedTuple):
+    """The prime-factor kernel's cached tables for one field, read-only.
+
+    factors are the stage lengths n_k and tables their exponent tables
+    E_k, or None for a prime n computed row by row.  in_map[c] is the
+    coefficient index at cell c of the array and out_map[i] the cell that
+    holds out[i]; both are None for a single stage.  exp is row_tables'
+    narrowed to uint16 and log is row_tables' own.
+    """
+
+    factors: tuple[int, ...]
+    tables: tuple[np.ndarray, ...] | None
+    in_map: np.ndarray | None
+    out_map: np.ndarray | None
+    exp: np.ndarray
+    log: np.ndarray
+
+
+def _coprime_factors(n: int) -> tuple[int, ...]:
+    """n as a product of prime powers, one per prime, in ascending order."""
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            power = 1
+            while n % p == 0:
+                n //= p
+                power *= p
+            factors.append(power)
+        p += 1
+    if n > 1:
+        factors.append(n)
+    return tuple(factors)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @cache
-def _dft_tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index, antilog and log tables for the dense kernel, all uint16.
+def _plan(field: Field) -> _Plan:
+    """The kernel's plan for a plain Field; see the module docstring.
 
-    index[j, i] = i*j mod n; the table is symmetric, so row j serves
-    coefficient j.  exp and log are row_tables' narrowed to uint16: log
-    maps 0 to 2n and exp is zero from 2n on, so a zero coefficient
-    contributes exp[2n + (i*j mod n)] = 0 with no mask, and every index
-    stays below 3n.  Field hashes by (m, prim_poly), so the tables for
-    each field are built once per process.  They are shared and therefore
-    read-only.
+    Field hashes by (m, prim_poly), so each field's plan is built once
+    per process.
     """
     n = field.n
-    powers = np.arange(n, dtype=np.uint32)
-    index = np.empty((n, n), dtype=np.uint16)
-    for j in range(n):  # row by row: no n x n temporary wider than uint16
-        index[j] = powers * j % n
-    exp, log = (table.astype(np.uint16) for table in row_tables(field))
-    for table in (index, exp, log):
-        table.flags.writeable = False
-    return index, exp, log
+    exp, log = row_tables(field)
+    factors = (n,) if n < PRIME_FACTOR_MIN_N else _coprime_factors(n)
+    tables = in_map = out_map = None
+    if factors != (n,) or n < PRIME_FACTOR_MIN_N:  # all but a prime n >= 255
+        tables = tuple(_read_only(n // size * (np.multiply.outer(
+            np.arange(size), np.arange(size)) % size)) for size in factors)
+    if len(factors) > 1:
+        cells = np.indices(factors).reshape(len(factors), -1)
+        in_map = _read_only(
+            sum(j * (n // size) for j, size in zip(cells, factors)) % n)
+        # after the last stage the axes are in the order K, 1, ..., K - 1
+        order = factors[-1:] + factors[:-1]
+        i = np.arange(n)
+        out_map = _read_only(
+            np.ravel_multi_index([i % size for size in order], order))
+    return _Plan(factors, tables, in_map, out_map,
+                 _read_only(exp.astype(np.uint16)), log)
 
 
-def _uses_dense_kernel(field) -> bool:
-    return type(field) is Field and field.m <= DENSE_MAX_M
+def _stage(exp: np.ndarray, table: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """One stage: out[i, a] = XOR over j of exp[table[j, i] + logs[j, a]].
+
+    logs has one row per input index j, at most as many as table has;
+    the output has one row per column of table, as uint16.
+    """
+    rows, columns = logs.shape
+    step = max(1, CHUNK_ENTRIES // max(1, rows * columns))
+    chunks = [np.bitwise_xor.reduce(
+        exp[table[:rows, start:start + step, None] + logs[:, None, :]], axis=0)
+        for start in range(0, table.shape[1], step)]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _dense_dft(field: Field, coeffs: Sequence[int]) -> np.ndarray:
+def _sparse_dft(field: Field, multipliers, logs) -> np.ndarray:
+    """out[i] = XOR over r of exp[logs[r] + (multipliers[r] * i mod n)]
+    for i in [0, n), as uint16.
+
+    Below 255 the rows (e*i mod n) are read from the single stage's
+    table; from 255 on each is computed, folded once to below 2n (see the
+    module docstring).  logs come from row_tables' log.
+    """
+    n, m = field.n, field.m
+    plan = _plan(field)
+    exp = plan.exp
+    multipliers = np.asarray(multipliers, dtype=np.intp)[:, None]
+    logs = np.asarray(logs, dtype=np.intp)[:, None]
+    if plan.in_map is None and plan.tables is not None:
+        # below 255 the single stage's table holds every row
+        return np.bitwise_xor.reduce(
+            exp[plan.tables[0][multipliers[:, 0]] + logs], axis=0)
+    step = max(1, CHUNK_ENTRIES // max(1, len(logs)))
+    out = np.empty(n, dtype=np.uint16)
+    for start in range(0, n, step):
+        x = multipliers * np.arange(start, min(start + step, n))
+        high = x >> m
+        x &= n
+        x += high
+        x += logs
+        out[start:start + step] = np.bitwise_xor.reduce(exp[x], axis=0)
+    return out
+
+
+def _dft(field: Field, coeffs: Sequence[int]) -> np.ndarray:
     """out[i] = sum_j coeffs[j] * alpha^(i*j) for i in [0, n), as uint16.
 
-    Requires len(coeffs) <= n.  Term (j, i) is exp[log c_j + (i*j mod n)].
+    Requires len(coeffs) <= n.  The prime-factor kernel of the module
+    docstring.
     """
-    index, exp, log = _dft_tables(field)
-    c = np.array(coeffs, dtype=np.uint16)
-    exps = index[:len(c)] + log[c][:, None]
-    return np.bitwise_xor.reduce(exp[exps], axis=0)
+    plan = _plan(field)
+    n = field.n
+    logs = plan.log[np.array(coeffs, dtype=np.intp)]
+    if plan.in_map is None:  # one stage
+        if plan.tables is None:  # a prime n too long for a table
+            return _sparse_dft(field, np.arange(len(logs)), logs)
+        # the first len(coeffs) rows of at most 127 x 127, never chunked
+        terms = plan.exp[plan.tables[0][:len(logs)] + logs[:, None]]
+        return np.bitwise_xor.reduce(terms, axis=0)
+    padded = np.full(n, 3 * n, dtype=np.intp)
+    padded[:len(logs)] = logs
+    logs = padded[plan.in_map]
+    for k, (size, table) in enumerate(zip(plan.factors, plan.tables)):
+        if k:
+            logs = plan.log[values.T]  # the next factor's axis comes first
+        values = _stage(plan.exp, table, logs.reshape(size, -1))
+    return values.reshape(-1)[plan.out_map]
 
 
 def evaluate_all(p: Poly, n: int) -> tuple[int, ...]:
@@ -114,8 +239,8 @@ def evaluate_all(p: Poly, n: int) -> tuple[int, ...]:
         raise ValueError(f"n must be {field.n} for GF(2^{field.m}), got {n}")
     if len(p.coeffs) > n:
         raise ValueError(f"degree {p.degree} is not below n = {n}")
-    if _uses_dense_kernel(field):
-        return tuple(_dense_dft(field, p.coeffs).tolist())
+    if type(field) is Field:
+        return tuple(_dft(field, p.coeffs).tolist())
     return tuple(p.evaluate(field.alpha_pow(i)) for i in range(n))
 
 
@@ -161,7 +286,7 @@ def interpolate_subset(field: Field, points: Sequence[tuple[int, int]]) -> Poly:
         raise ValueError("at least one interpolation point is required")
     seen = set(check_positions([pos for pos, _ in points], n))
 
-    if _uses_dense_kernel(field):
+    if type(field) is Field:
         # P mod M, see the module docstring
         values = [0] * n
         for pos, value in points:
@@ -170,6 +295,9 @@ def interpolate_subset(field: Field, points: Sequence[tuple[int, int]]) -> Poly:
         missing = [pos for pos in range(n) if pos not in seen]
         if not missing:
             return full
+        if len(points) <= len(missing):
+            # fewer survivors than missing positions: M is their product
+            return full % root_product(field, [pos for pos, _ in points])
         # M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e, where
         # locator_odd(alpha^e) = alpha^e * odd(alpha^2e) for the polynomial
         # odd holding the locator's odd-degree coefficients
@@ -206,7 +334,7 @@ def cyclotomic_quotient(erasure_locator: Poly, n: int) -> Poly:
     if erasure_locator.coeffs == (1,):
         return xn_minus_one(field, n)
     # the closed form's fixed numpy cost pays off from n = 63 (m = 6) on
-    if (_uses_dense_kernel(field) and n > ROW_KERNEL_MIN_LEN
+    if (type(field) is Field and n > ROW_KERNEL_MIN_LEN
             and 1 <= erasure_locator.degree < n):
         return _closed_form_quotient(erasure_locator)
     quot, rem = divmod(xn_minus_one(field, n), erasure_locator)
@@ -225,13 +353,13 @@ def _closed_form_quotient(locator: Poly) -> Poly:
     """
     field = locator.field
     n = field.n
-    index, exp, log = _dft_tables(field)
-    c = np.array(locator.coeffs, dtype=np.uint16)
-    terms = exp[index[:len(c)] + log[c][:, None]]  # terms[j, i] = c_j alpha^(ij)
-    even = np.bitwise_xor.reduce(terms[0::2], axis=0)
-    odd = np.bitwise_xor.reduce(terms[1::2], axis=0)
+    log = _plan(field).log
+    logs = log[np.array(locator.coeffs, dtype=np.intp)]
+    powers = np.arange(len(logs))
+    even = _sparse_dft(field, powers[0::2], logs[0::2])
+    odd = _sparse_dft(field, powers[1::2], logs[1::2])
     roots = np.flatnonzero(even == odd)
-    if len(roots) != len(c) - 1:
+    if len(roots) != len(logs) - 1:
         # fewer distinct roots than its degree: not a product of (x - alpha^e)
         raise ValueError("locator does not divide x^n - 1")
     # log Q(alpha^e) = -log odd(alpha^e)
@@ -243,10 +371,9 @@ def _from_root_values(field: Field, roots, value_logs) -> Poly:
     alpha^roots[i] and zero at every other power of alpha.
 
     Its coefficient j is sum_e Q(alpha^e) alpha^(-ej) over the roots e:
-    one sparse inverse transform over their index rows (-e) mod n alone.
+    one sparse inverse transform over their rows (-e) mod n alone.
     """
-    index, exp, _ = _dft_tables(field)
     n = field.n
-    rows = (index[(n - np.asarray(roots)) % n]
-            + np.asarray(value_logs, dtype=np.uint16)[:, None])
-    return Poly._make(field, np.bitwise_xor.reduce(exp[rows], axis=0).tolist())
+    coeffs = _sparse_dft(field, (n - np.asarray(roots, dtype=np.intp)) % n,
+                         value_logs)
+    return Poly._make(field, coeffs.tolist())

@@ -1,6 +1,8 @@
 """Encoder and the four decoding pipelines."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -233,3 +235,25 @@ def test_message_padding(rs73):
         result = decoder(rs73, word)
         assert result.message == message
         assert len(result.message) == 3
+
+
+def test_large_field_round_trips():
+    # every m takes the prime-factor transform, so each of these takes
+    # well under a second; an O(n^2) transform would take seconds at
+    # m = 12 and hours at m = 16
+    rng = random.Random(12)
+    params = CodeParams(Field(12), 4000)
+    message = tuple(rng.randrange(params.field.order) for _ in range(params.k))
+    word = corrupt_word(rng, params, encode(params, message), t=8, l=16)
+    for decoder in ERASURE_DECODERS:
+        assert decoder(params, word).message == message
+
+    params = CodeParams(Field(16), Field(16).n - 33)
+    message = tuple(rng.randrange(params.field.order) for _ in range(params.k))
+    word = corrupt_word(rng, params, encode(params, message), t=16, l=0)
+    assert decode_errors_only(params, word.symbols).message == message
+
+    params = CodeParams(Field(13), 16)
+    codeword = encode(params, range(1, 17))
+    assert len(codeword) == params.n
+    assert codeword[0] == functools.reduce(operator.xor, range(1, 17))

@@ -2,15 +2,24 @@
 
 A plain Field takes Poly's inline log/antilog arithmetic, the numpy row
 kernel for long divisors and in the key-equation solve, the inline
-erasure-locator product and, up to DENSE_MAX_M, the dense numpy transform,
-the closed-form cyclotomic quotient and the subset interpolation as a
-transform plus a reduction; a CountingField over the same
-field takes the scalar loops that route every product through field.mul.
-Both must give bit-identical results, as plain ints.
+erasure-locator product, the prime-factor transform, the closed-form
+cyclotomic quotient and the subset interpolation as a transform plus a
+reduction; a CountingField over the same field takes the scalar loops
+that route every product through field.mul.  Both must give
+bit-identical results, as plain ints.
+
+Every m from 3 to 16 is covered.  Up to COUNTED_MAX_M the fast results
+are compared with the CountingField's.  Above it a counted transform
+costs n^2 products, 16 M at m = 12, so the transforms are checked by
+Poly.evaluate at sampled points and by round trips, the quotient by the
+plain long division, and the subset interpolation by recovering a known
+polynomial.
 """
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,11 +29,19 @@ from rscodec import (CodeParams, Field, KeyEquationProblem, Poly,
                      encode, interpolate_all, interpolate_subset,
                      solve_key_equation)
 from rscodec import polynomial, spectral
-from rscodec.polynomial import ROW_KERNEL_MIN_LEN
-from rscodec.spectral import DENSE_MAX_M
+from rscodec.galois import MAX_M, MIN_M
+from rscodec.polynomial import ROW_KERNEL_MIN_LEN, xn_minus_one
+from rscodec.spectral import CHUNK_ENTRIES, PRIME_FACTOR_MIN_N
 from rscodec.workbench import CountingField, OpCounter
 
-FIELDS = {m: Field(m) for m in range(3, DENSE_MAX_M + 1)}
+FIELDS = {m: Field(m) for m in range(MIN_M, MAX_M + 1)}
+# a second primitive polynomial for every m; Field rejects one that is not
+OTHER_PRIM_POLYS = {3: 0xD, 4: 0x19, 5: 0x29, 6: 0x61, 7: 0xC1, 8: 0x1C3,
+                    9: 0x221, 10: 0x481, 11: 0xA01, 12: 0x1C11, 13: 0x3901,
+                    14: 0x7005, 15: 0xC001, 16: 0x1A011}
+# largest m whose transforms are compared with the CountingField's
+COUNTED_MAX_M = 10
+LARGE_M = range(COUNTED_MAX_M + 1, MAX_M + 1)
 DIFF = settings(max_examples=150, deadline=None, derandomize=True)
 
 
@@ -42,7 +59,7 @@ def coeff_lists(draw, m, max_len=40):
 
 @st.composite
 def poly_pairs(draw):
-    m = draw(st.integers(3, DENSE_MAX_M))
+    m = draw(st.integers(MIN_M, MAX_M))
     return m, draw(coeff_lists(m)), draw(coeff_lists(m))
 
 
@@ -68,6 +85,7 @@ def test_mul_matches_scalar(case):
 @example((4, [1, 2, 3], [0, 0, 0, 7]), 7)  # dividend below the divisor
 @example((8, [5] * 30, [3, 0, 1]), 1)  # monic divisor with a zero coefficient
 @example((10, [0] * 9 + [1], [9]), 9)  # constant, non-monic divisor
+@example((16, [65535] * 40, [1] * 31), 65534)  # row kernel at m = 16
 # divisors one short of the row kernel's length and at it, non-monic
 @example((3, [1, 2, 3, 4, 5, 6, 7] * 9, [0, 5] * 15), 3)
 @example((8, [1, 2, 3, 4, 5, 6, 7] * 9, [0, 5] * 15 + [7]), 3)
@@ -118,16 +136,38 @@ def test_transforms_match_scalar(case):
             == interpolate_all(scalar(field), values).coeffs)
 
 
+def check_transforms(field, coeffs, counted):
+    """evaluate_all against the counted loop or, when counted is false,
+    against Horner at sampled points; then interpolate_all back."""
+    n = field.n
+    p = Poly(field, coeffs)
+    values = evaluate_all(p, n)
+    if counted:
+        assert values == evaluate_all(Poly(scalar(field), coeffs), n)
+    else:
+        rng = random.Random(n)
+        for i in [0, 1, n - 1, *rng.sample(range(n), 16)]:
+            assert values[i] == p.evaluate(field.alpha_pow(i))
+    assert all(type(v) is int for v in values)
+    assert interpolate_all(field, values) == p
+
+
 @pytest.mark.parametrize("m", sorted(FIELDS))
 def test_full_length_transforms_match_scalar(m):
+    # full length on the default field, k < n on a second primitive
+    # polynomial; every plan shape: one dense stage below n = 255, two to
+    # four prime-factor stages, and m = 13's rows computed per chunk
     field = FIELDS[m]
     n = field.n
     rng = random.Random(m)
     coeffs = [rng.randrange(field.order) for _ in range(n - 1)] + [1]
-    assert evaluate_all(Poly(field, coeffs), n) == evaluate_all(
-        Poly(scalar(field), coeffs), n)
-    assert (interpolate_all(field, coeffs).coeffs
-            == interpolate_all(scalar(field), coeffs).coeffs)
+    check_transforms(field, coeffs, counted=m <= COUNTED_MAX_M)
+    if m <= COUNTED_MAX_M:
+        assert (interpolate_all(field, coeffs).coeffs
+                == interpolate_all(scalar(field), coeffs).coeffs)
+    other = Field(m, OTHER_PRIM_POLYS[m])
+    short = [rng.randrange(other.order) for _ in range(n // 2)]
+    check_transforms(other, short, counted=m <= 8)
 
 
 @pytest.mark.parametrize("m", [4, 8])
@@ -145,32 +185,39 @@ def test_results_are_plain_ints(m):
         assert coeffs and all(type(c) is int for c in coeffs)
 
 
-def test_fields_above_the_cap_build_no_table(monkeypatch):
-    def no_table(field):
-        raise AssertionError(f"dense table requested for {field!r}")
-
-    monkeypatch.setattr(spectral, "_dft_tables", no_table)
-    field = Field(12)
-    params = CodeParams(field, 8)
-    message = (9, 0, 4095, 1, 2, 0, 77, 5)
-
-    codeword = encode(params, message)
-    assert len(codeword) == field.n
-    assert all(type(s) is int for s in codeword)
-    # any k symbols of the codeword pin down the message polynomial
-    points = [(pos, codeword[pos]) for pos in range(0, field.n, 500)][:8]
-    assert interpolate_subset(field, points).coeffs == message
-
-    values = [3, 0, 1, 4000] + [0] * (field.n - 4)
-    assert (interpolate_all(field, values).coeffs
-            == interpolate_all(scalar(field), values).coeffs)
+@pytest.mark.parametrize("m", [m for m in sorted(FIELDS)
+                               if FIELDS[m].n >= PRIME_FACTOR_MIN_N])
+def test_no_kernel_array_reaches_n_squared(m):
+    # Every kernel array holds indices or elements of at least two bytes,
+    # so an array of n^2 entries would take 2 n^2 bytes.  The ufunc
+    # buffers are shrunk so that the traced peak counts arrays only; the
+    # plan is built inside the traced span.  Both transforms and both
+    # sparse reads run.  Chunking also caps the peak at a few intp
+    # temporaries of CHUNK_ENTRIES entries.
+    field = Field(m, OTHER_PRIM_POLYS[m])
+    n = field.n
+    params = CodeParams(field, 16)
+    locator = erasure_locator(params, range(3, n, n // 16))
+    spectral._plan.cache_clear()
+    polynomial.row_tables.cache_clear()
+    old_size = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        interpolate_all(field, encode(params, range(1, 17)))
+        cyclotomic_quotient(locator, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(old_size)
+    assert peak < 2 * n * n
+    assert peak < 48 * CHUNK_ENTRIES
 
 
 @st.composite
 def key_equation_problems(draw):
     """(m, modulus, known, stop_degree) with the modulus on either side of
     the row kernel's length."""
-    m = draw(st.integers(3, DENSE_MAX_M))
+    m = draw(st.integers(MIN_M, MAX_M))
     size = draw(st.one_of(
         st.integers(2, 2 * ROW_KERNEL_MIN_LEN),
         st.sampled_from([ROW_KERNEL_MIN_LEN - 1, ROW_KERNEL_MIN_LEN])))
@@ -205,7 +252,7 @@ def test_solve_matches_scalar(case):
 
 @st.composite
 def erasure_sets(draw):
-    m = draw(st.integers(3, DENSE_MAX_M))
+    m = draw(st.integers(MIN_M, COUNTED_MAX_M))
     n = (1 << m) - 1
     count = draw(st.one_of(st.integers(1, n - 1), st.sampled_from([1, n - 1])))
     return m, draw(st.permutations(range(n)))[:count]
@@ -228,6 +275,23 @@ def test_erasure_locator_and_quotient_match_scalar(case, scale):
     scale = scale % field.n + 1
     assert (cyclotomic_quotient(fast.scale(scale), field.n).coeffs
             == cyclotomic_quotient(ref.scale(scale), field.n).coeffs)
+
+
+@pytest.mark.parametrize("m", LARGE_M)
+def test_large_field_quotient_matches_long_division(m):
+    # the counted long division of x^n - 1 costs about n * l products, so
+    # above COUNTED_MAX_M the plain field's own long division is the
+    # reference; locators below and above the row kernel's length
+    rng = random.Random(m)
+    for field in (FIELDS[m], Field(m, OTHER_PRIM_POLYS[m])):
+        n = field.n
+        for l in (1, 5, ROW_KERNEL_MIN_LEN + 8):
+            locator = erasure_locator(CodeParams(field, 1),
+                                      rng.sample(range(n), l))
+            locator = locator.scale(field.alpha_pow(rng.randrange(n)))
+            quot, rem = divmod(xn_minus_one(field, n), locator)
+            assert rem.is_zero
+            assert cyclotomic_quotient(locator, n) == quot
 
 
 @pytest.mark.parametrize("m", [3, 6, 10])
@@ -278,7 +342,7 @@ def survivor_sets(draw):
     The scalar Lagrange side is O(count^2), so above m = 8 the survivors
     are capped; l = n - count then stays close to n there.
     """
-    m = draw(st.integers(3, DENSE_MAX_M))
+    m = draw(st.integers(MIN_M, COUNTED_MAX_M))
     n = (1 << m) - 1
     cap = n if m <= 8 else 40
     count = draw(st.one_of(st.integers(1, cap), st.sampled_from([1, cap])))
@@ -309,9 +373,34 @@ def test_subset_interpolation_matches_scalar(case):
     assert fast.degree < len(points)
 
 
+@pytest.mark.parametrize("m", LARGE_M)
+def test_large_field_subset_interpolation(m):
+    # through the survivors of a codeword, the unique interpolant of
+    # degree < n - l is the message polynomial itself; random values are
+    # checked at sampled survivors
+    rng = random.Random(m)
+    for field, l in ((FIELDS[m], 1), (Field(m, OTHER_PRIM_POLYS[m]), 16)):
+        n = field.n
+        missing = set(rng.sample(range(n), l))
+        survivors = [pos for pos in range(n) if pos not in missing]
+        message = [rng.randrange(field.order) for _ in range(24)]
+        codeword = encode(CodeParams(field, 24), message)
+        points = [(pos, codeword[pos]) for pos in survivors]
+        assert interpolate_subset(field, points).coeffs == tuple(message)
+        # any 24 symbols pin it down too; M is then the survivors' product
+        points = rng.sample(points, 24)
+        assert interpolate_subset(field, points).coeffs == tuple(message)
+    points = [(pos, rng.randrange(field.order)) for pos in survivors]
+    p = interpolate_subset(field, points)
+    assert p.degree < n - l
+    for pos, value in rng.sample(points, 8):
+        assert p.evaluate(field.alpha_pow(pos)) == value
+
+
 def test_subset_interpolation_dispatch(monkeypatch):
-    # the reduction route makes one division, P mod M; the Lagrange loop
-    # divides the survivors' master polynomial once per survivor
+    # every plain field takes the reduction route, one division P mod M;
+    # only a CountingField takes the Lagrange loop, which divides the
+    # survivors' master polynomial once per survivor
     calls = []
     divmod_ = Poly.__divmod__
 
@@ -321,10 +410,12 @@ def test_subset_interpolation_dispatch(monkeypatch):
 
     monkeypatch.setattr(Poly, "__divmod__", spy)
     points = [(pos, pos % 5) for pos in range(1, 7)]
-    for field in (FIELDS[3], FIELDS[DENSE_MAX_M]):
+    for field in (FIELDS[3], FIELDS[COUNTED_MAX_M]):
         interpolate_subset(field, points)
-    assert calls == [True, True]
+    # all but one position at m = 11, which the Lagrange loop served before
+    interpolate_subset(FIELDS[11], [(pos, pos % 5)
+                                    for pos in range(1, FIELDS[11].n)])
+    assert calls == [True, True, True]
     calls.clear()
     interpolate_subset(scalar(FIELDS[4]), points)
-    interpolate_subset(Field(11), points)
-    assert calls == [False] * len(points) + [True] * len(points)
+    assert calls == [False] * len(points)

@@ -163,8 +163,8 @@ def test_reduction_matches_subset_interpolation(m):
                                    Field(11)], ids=["m3", "m3-counted", "m11"])
 @pytest.mark.parametrize("bad", ["order", -1, True])
 def test_subset_interpolation_rejects_non_elements(field, bad):
-    # the dense route, the counted Lagrange loop and the plain Lagrange
-    # loop above DENSE_MAX_M all refuse a value outside the field
+    # the reduction route, at m = 3 and at m = 11, and the counted
+    # Lagrange loop all refuse a value outside the field
     value = field.order if bad == "order" else bad
     with pytest.raises(ValueError, match="GF|field element"):
         interpolate_subset(field, [(0, 1), (1, value), (2, 0)])

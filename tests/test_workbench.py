@@ -300,6 +300,26 @@ def test_bench_claim_on_small_code(rs73):
         assert all(s <= t for s, t in zip(sug, tru))
 
 
+def test_bench_claim_fails_with_few_errors_at_large_l():
+    # The claim holds at the radius on the pinned cases and the perfbench
+    # workloads, but not always.  At RS(255,127) with l = 32 and t = 10,
+    # suggested pays two counted 223 x 32 divisions, (x^n - 1) / L in
+    # step 2a and known % modulus in step 2b, and so spends more
+    # multiplications than truong in as many iterations.
+    params = CodeParams(Field(8), 127)
+    report = bench(params, 1, l=32, seed=88, strict=False)
+    assert report.trial_t == (10,)
+    assert report.trial_mults["suggested"] == (86_283,)
+    assert report.trial_mults["truong"] == (85_493,)
+    assert report.trial_iterations["suggested"] == (10,)
+    assert report.trial_iterations["truong"] == (10,)
+    assert report.mult_violations == (0,)
+    assert report.iteration_violations == ()
+    assert not report.claim_holds
+    with pytest.raises(ComplexityClaimError, match="86283 multiplications"):
+        bench(params, 1, l=32, seed=88)
+
+
 def test_format_report_layout(rs73):
     report = bench(rs73, 5, l=1, seed=0)
     text = format_report(report)
