@@ -52,7 +52,7 @@ from .galois import Field
 from .key_equation import KeyEquationProblem, solve
 from .polynomial import Poly, root_product, xn_minus_one
 from .spectral import (check_positions, cyclotomic_quotient, evaluate_all,
-                       interpolate_all, interpolate_subset)
+                       interpolate_all, interpolate_subset, prepare_tables)
 
 
 class FailureCause(Enum):
@@ -83,7 +83,11 @@ class DecodeResult:
 
 @dataclass(frozen=True)
 class CodeParams:
-    """An RS(n, k) code; n is fixed at 2^m - 1 by the field."""
+    """An RS(n, k) code; n is fixed at 2^m - 1 by the field.
+
+    A plain Field's transform tables are built, and from m = 5 on numpy
+    is imported, here rather than in the first encode or decode.
+    """
 
     field: Field
     k: int
@@ -92,6 +96,8 @@ class CodeParams:
         if not 1 <= self.k < self.field.n:
             raise ValueError(
                 f"k must be in [1, {self.field.n}), got {self.k}")
+        if type(self.field) is Field:
+            prepare_tables(self.field)
 
     @property
     def n(self) -> int:

@@ -17,16 +17,15 @@ plain Field with a modulus of at least ROW_KERNEL_MIN_LEN coefficients,
 the remainders are numpy intp arrays and each division row is one
 gather-and-XOR in the log domain (polynomial.divide_rows), with the
 divisor's logs taken once per iteration; short cofactors stay lists and
-long ones become arrays.  Any other field context, such as the
-workbench's CountingField, takes the reference loop over Poly divmod and
-multiplication, so every product goes through field.mul and is counted.
+long ones become arrays.  numpy is imported on that path's first call.
+Any other field context, such as the workbench's CountingField, takes the
+reference loop over Poly divmod and multiplication, so every product goes
+through field.mul and is counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .galois import Field
 from .polynomial import ROW_KERNEL_MIN_LEN, Poly, divide_rows, row_tables
@@ -104,6 +103,8 @@ def _solve_rows(problem: KeyEquationProblem) -> KeyEquationSolution:
     divisor's logs are taken once per iteration.  Same steps, same
     results and same iteration count as the reference loop.
     """
+    import numpy as np
+
     field = problem.modulus.field
     exp_rows, log_rows = row_tables(field)
     exp, log = field._exp, field._log

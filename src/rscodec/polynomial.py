@@ -9,21 +9,25 @@ Multiplication, division, evaluation, scaling and root_product have two
 paths.  On a plain Field they index its log/antilog tables inline and
 skip zero operands; a division by a divisor of at least ROW_KERNEL_MIN_LEN
 coefficients goes further and subtracts each quotient row as one numpy
-gather-and-XOR (divide_rows), which the key-equation solver shares.  A
-Field subclass, such as the workbench's CountingField, takes the
-reference loops, which route every product through field.mul and every
-inversion through field.inv so that the subclass sees them all.  Both
-paths give bit-identical results, as plain ints.
+gather-and-XOR (divide_rows), which the key-equation solver shares.
+numpy is imported on that path's first call, so a process whose
+polynomials stay shorter than ROW_KERNEL_MIN_LEN never loads it.  A Field
+subclass, such as the workbench's CountingField, takes the reference
+loops, which route every product through field.mul and every inversion
+through field.inv so that the subclass sees them all.  Both paths give
+bit-identical results, as plain ints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .galois import Field
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MINUS_INF = float("-inf")
 
@@ -42,6 +46,8 @@ def row_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     zero included, whenever 0 <= e < 2n.  Field hashes by (m, prim_poly),
     so each field's tables are built once per process.
     """
+    import numpy as np
+
     n = field.n
     exp = np.zeros(5 * n, dtype=np.intp)
     exp[:3 * n] = field._exp + field._exp[:n]
@@ -185,6 +191,8 @@ class Poly:
         f = self.field
         den = other.coeffs
         if type(f) is Field and len(den) >= ROW_KERNEL_MIN_LEN:
+            import numpy as np
+
             rem = np.array(self.coeffs, dtype=np.intp)
             quot = divide_rows(f, rem, row_tables(f)[1][list(den)])
             return Poly._make(f, quot), Poly._make(f, rem[:dd].tolist())

@@ -7,25 +7,44 @@ needs no 1/n scaling.  Both directions are the same length-n DFT over the
 powers of alpha: interpolate_all is evaluate_all of the value vector read
 at alpha^-j, so only evaluate_all chooses a path, by the field context:
 
-  prime-factor kernel  a plain Field, any m.  All arithmetic is in the
-                log domain: log maps 0 to 3n and exp is zero from 3n on,
-                so a zero coefficient adds exp[3n + e] = 0 with no mask.
+  packed table  a plain Field with n < PRIME_FACTOR_MIN_N = 255 (m <= 7),
+                in pure Python.
+  prime-factor kernel  a plain Field with n >= 255, in numpy.  All
+                arithmetic is in the log domain: log maps 0 to 3n and exp
+                is zero from 3n on, so a zero coefficient adds
+                exp[3n + e] = 0 with no mask.
   Horner loop   a CountingField only: n Horner evaluations through
                 Poly.evaluate, O(n^2) counted multiplications, so the
                 workbench's operation counts are those of the schoolbook
                 transform.
 
-The two paths are bit-exact, and both return plain ints.
+The paths are bit-exact, and all return plain ints.
 
-The kernel follows a plan built on first use and cached per field.  From
-n = PRIME_FACTOR_MIN_N = 255 on, n splits into pairwise coprime prime
-powers n_1 ... n_K (255 = 3 * 5 * 17, 4095 = 9 * 5 * 7 * 13), and the
-Good-Thomas maps turn the DFT into one small DFT per factor with no
-twiddles.  Coefficient j = sum_k j_k (n / n_k) mod n goes to cell
-(j_1, ..., j_K) of an n_1 x ... x n_K array, and out[i] is read from the
-cell (i mod n_1, ..., i mod n_K).  Then i*j = sum_k (n / n_k)(i_k j_k
-mod n_k) mod n, so alpha^(ij) is a product over the factors, and stage k
-is the DFT along axis k:
+The packed table has one row per coefficient index j and, in each row,
+one int per element c: rows[j][c] holds the n products c * alpha^(i*j),
+one byte per output position i, since every element of GF(2^m) with
+m <= 7 fits in a byte.  A transform of k coefficients is k lookups and k
+big-int XORs, and one to_bytes(n, "little") unpacks the n values.  The
+table is built on first use and cached per field; at m = 7 it holds
+127 * 128 ints of 127 bytes, under 3 MB.
+
+numpy is imported on first use, never at import: by the prime-factor
+kernel, by its sparse reads below and by polynomial's row kernels, which
+serve polynomials of at least ROW_KERNEL_MIN_LEN = 32 coefficients.
+Below m = 5 no polynomial of the codec is that long (x^15 - 1 has 16
+coefficients), so a process that only uses m <= 4 never imports numpy.
+prepare_tables(field) builds a field's tables, and from m = 5 on imports
+numpy, ahead of the first transform; CodeParams calls it.
+
+The prime-factor kernel follows a plan built on first use and cached per
+field.  n splits into pairwise coprime prime powers n_1 ... n_K
+(255 = 3 * 5 * 17, 4095 = 9 * 5 * 7 * 13), and the Good-Thomas maps turn
+the DFT into one small DFT per factor with no twiddles.  Coefficient
+j = sum_k j_k (n / n_k) mod n goes to cell (j_1, ..., j_K) of an
+n_1 x ... x n_K array, and out[i] is read from the cell
+(i mod n_1, ..., i mod n_K).  Then i*j = sum_k (n / n_k)(i_k j_k mod n_k)
+mod n, so alpha^(ij) is a product over the factors, and stage k is the
+DFT along axis k:
 
     x[.., i_k, ..] = XOR over j_k of exp[E_k[j_k, i_k] + log x[.., j_k, ..]]
     with E_k[j, i] = (n / n_k)(i*j mod n_k),
@@ -33,12 +52,10 @@ is the DFT along axis k:
 an n_k x n_k table.  The work is n * (n_1 + ... + n_K) lookups instead of
 n^2.  Each stage reduces over the array's first axis, which holds j_k,
 and moves the resulting i_k axis to the back, so the next factor's axis
-comes first.  Below 255 one dense stage over all n is faster; its table
-is i*j mod n, at most 127 x 127, and a transform of k coefficients reads
-only its first k rows.  A prime n from
-255 on (m = 13) keeps no table: it is one stage whose rows are computed
-per chunk, as in the sparse reads below.  Every stage runs in chunks of
-output rows so that no temporary holds more than CHUNK_ENTRIES entries.
+comes first.  A prime n (m = 13) keeps no table: it is one stage whose
+rows are computed per chunk, as in the sparse reads below.  Every stage
+runs in chunks of output rows so that no temporary holds more than
+CHUNK_ENTRIES entries.
 
 cyclotomic_quotient, Q = (x^n - 1) / locator, has two paths as well.  A
 plain Field takes a closed form when n > ROW_KERNEL_MIN_LEN and
@@ -50,10 +67,10 @@ locator(a) = 0 and n is odd, so
 
 where locator_odd, the odd-degree terms, equals x * locator'.  Q vanishes
 at every other alpha^i, and deg Q < n, so Q is one inverse transform read
-over only the l root rows.  Below 255 these sparse transforms read their
-rows (e*j mod n) from the single stage's table; from 255 on they compute
-them: for x = e*j < n^2, x mod n is congruent to (x & n) + (x >> m),
-which is below 2n, and exp is periodic up to 3n.
+over only the l root rows.  Below 255 these sparse transforms XOR packed
+rows: rows[r][v] is v times row r of the DFT.  From 255 on they compute
+their rows: for x = e*j < n^2, x mod n is congruent to
+(x & n) + (x >> m), which is below 2n, and exp is periodic up to 3n.
 Everything else, CountingField included, takes the long division of
 x^n - 1.
 
@@ -80,29 +97,76 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .galois import Field
 from .polynomial import (ROW_KERNEL_MIN_LEN, Poly, root_product, row_tables,
                          xn_minus_one)
 
-# Shortest n that the prime-factor plan serves; below it one dense stage
-# over all n is faster.
+if TYPE_CHECKING:
+    import numpy as np
+
+# Shortest n that the prime-factor kernel serves; below it the packed
+# table is faster, and its bytes hold every element.
 PRIME_FACTOR_MIN_N = 255
 # Most entries a kernel temporary may hold; larger stages run in chunks.
 CHUNK_ENTRIES = 1 << 20
+
+
+@cache
+def _packed(field: Field) -> tuple[tuple[int, ...], ...]:
+    """The packed table of a plain Field with n < 255, read-only.
+
+    rows[j][c] holds c * alpha^(i*j) in byte i, for i in [0, n); see the
+    module docstring.  Row j is the byte string of logs i*j mod n, each
+    mapped to alpha^(log + log c) by one bytes.translate per element c.
+    Field hashes by (m, prim_poly), so each field's table is built once
+    per process.
+    """
+    n, exp = field.n, field._exp
+    # shifts[s] maps a log L < n to the byte alpha^(L + s)
+    shifts = [bytes(exp[s:s + n]) + bytes(256 - n) for s in range(n)]
+    rows = []
+    for j in range(n):
+        logs = bytes(i * j % n for i in range(n))
+        row = [0] * field.order
+        for s, shift in enumerate(shifts):
+            row[exp[s]] = int.from_bytes(logs.translate(shift), "little")
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _packed_sum(n: int, rows, values) -> bytes:
+    """out[i] = sum over r of values[r] * alpha^(i * j_r) for i in [0, n),
+    as n bytes, where rows[r] is the packed row j_r."""
+    acc = 0
+    for row, value in zip(rows, values):
+        acc ^= row[value]
+    return acc.to_bytes(n, "little")
+
+
+def prepare_tables(field: Field) -> None:
+    """Build the tables a plain Field's transforms read, ahead of use.
+
+    The packed table below n = 255, the prime-factor plan from 255 on,
+    and from m = 5 on polynomial's row tables, which import numpy.
+    """
+    if field.n < PRIME_FACTOR_MIN_N:
+        _packed(field)
+    else:
+        _plan(field)
+    if field.n + 1 >= ROW_KERNEL_MIN_LEN:  # x^n - 1 reaches the row kernel
+        row_tables(field)
 
 
 class _Plan(NamedTuple):
     """The prime-factor kernel's cached tables for one field, read-only.
 
     factors are the stage lengths n_k and tables their exponent tables
-    E_k, or None for a prime n computed row by row.  in_map[c] is the
-    coefficient index at cell c of the array and out_map[i] the cell that
-    holds out[i]; both are None for a single stage.  exp is row_tables'
-    narrowed to uint16 and log is row_tables' own.
+    E_k.  in_map[c] is the coefficient index at cell c of the array and
+    out_map[i] the cell that holds out[i].  A prime n has the one factor
+    n and no tables or maps.  exp is row_tables' narrowed to uint16 and
+    log is row_tables' own.
     """
 
     factors: tuple[int, ...]
@@ -136,29 +200,30 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @cache
 def _plan(field: Field) -> _Plan:
-    """The kernel's plan for a plain Field; see the module docstring.
+    """The kernel's plan for a plain Field with n >= 255; see the module
+    docstring.
 
     Field hashes by (m, prim_poly), so each field's plan is built once
     per process.
     """
+    import numpy as np
+
     n = field.n
     exp, log = row_tables(field)
-    factors = (n,) if n < PRIME_FACTOR_MIN_N else _coprime_factors(n)
-    tables = in_map = out_map = None
-    if factors != (n,) or n < PRIME_FACTOR_MIN_N:  # all but a prime n >= 255
-        tables = tuple(_read_only(n // size * (np.multiply.outer(
-            np.arange(size), np.arange(size)) % size)) for size in factors)
-    if len(factors) > 1:
-        cells = np.indices(factors).reshape(len(factors), -1)
-        in_map = _read_only(
-            sum(j * (n // size) for j, size in zip(cells, factors)) % n)
-        # after the last stage the axes are in the order K, 1, ..., K - 1
-        order = factors[-1:] + factors[:-1]
-        i = np.arange(n)
-        out_map = _read_only(
-            np.ravel_multi_index([i % size for size in order], order))
-    return _Plan(factors, tables, in_map, out_map,
-                 _read_only(exp.astype(np.uint16)), log)
+    exp = _read_only(exp.astype(np.uint16))
+    factors = _coprime_factors(n)
+    if len(factors) == 1:  # a prime n, computed row by row
+        return _Plan(factors, None, None, None, exp, log)
+    tables = tuple(_read_only(n // size * (np.multiply.outer(
+        np.arange(size), np.arange(size)) % size)) for size in factors)
+    cells = np.indices(factors).reshape(len(factors), -1)
+    in_map = sum(j * (n // size) for j, size in zip(cells, factors)) % n
+    # after the last stage the axes are in the order K, 1, ..., K - 1
+    order = factors[-1:] + factors[:-1]
+    i = np.arange(n)
+    out_map = np.ravel_multi_index([i % size for size in order], order)
+    return _Plan(factors, tables, _read_only(in_map), _read_only(out_map),
+                 exp, log)
 
 
 def _stage(exp: np.ndarray, table: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -167,6 +232,8 @@ def _stage(exp: np.ndarray, table: np.ndarray, logs: np.ndarray) -> np.ndarray:
     logs has one row per input index j, at most as many as table has;
     the output has one row per column of table, as uint16.
     """
+    import numpy as np
+
     rows, columns = logs.shape
     step = max(1, CHUNK_ENTRIES // max(1, rows * columns))
     chunks = [np.bitwise_xor.reduce(
@@ -177,21 +244,17 @@ def _stage(exp: np.ndarray, table: np.ndarray, logs: np.ndarray) -> np.ndarray:
 
 def _sparse_dft(field: Field, multipliers, logs) -> np.ndarray:
     """out[i] = XOR over r of exp[logs[r] + (multipliers[r] * i mod n)]
-    for i in [0, n), as uint16.
+    for i in [0, n), as uint16, for n >= 255.
 
-    Below 255 the rows (e*i mod n) are read from the single stage's
-    table; from 255 on each is computed, folded once to below 2n (see the
-    module docstring).  logs come from row_tables' log.
+    Each row is computed, folded once to below 2n (see the module
+    docstring).  logs come from row_tables' log.
     """
+    import numpy as np
+
     n, m = field.n, field.m
-    plan = _plan(field)
-    exp = plan.exp
+    exp = _plan(field).exp
     multipliers = np.asarray(multipliers, dtype=np.intp)[:, None]
     logs = np.asarray(logs, dtype=np.intp)[:, None]
-    if plan.in_map is None and plan.tables is not None:
-        # below 255 the single stage's table holds every row
-        return np.bitwise_xor.reduce(
-            exp[plan.tables[0][multipliers[:, 0]] + logs], axis=0)
     step = max(1, CHUNK_ENTRIES // max(1, len(logs)))
     out = np.empty(n, dtype=np.uint16)
     for start in range(0, n, step):
@@ -207,18 +270,16 @@ def _sparse_dft(field: Field, multipliers, logs) -> np.ndarray:
 def _dft(field: Field, coeffs: Sequence[int]) -> np.ndarray:
     """out[i] = sum_j coeffs[j] * alpha^(i*j) for i in [0, n), as uint16.
 
-    Requires len(coeffs) <= n.  The prime-factor kernel of the module
-    docstring.
+    Requires 255 <= n and len(coeffs) <= n.  The prime-factor kernel of
+    the module docstring.
     """
+    import numpy as np
+
     plan = _plan(field)
     n = field.n
     logs = plan.log[np.array(coeffs, dtype=np.intp)]
-    if plan.in_map is None:  # one stage
-        if plan.tables is None:  # a prime n too long for a table
-            return _sparse_dft(field, np.arange(len(logs)), logs)
-        # the first len(coeffs) rows of at most 127 x 127, never chunked
-        terms = plan.exp[plan.tables[0][:len(logs)] + logs[:, None]]
-        return np.bitwise_xor.reduce(terms, axis=0)
+    if plan.tables is None:  # a prime n
+        return _sparse_dft(field, np.arange(len(logs)), logs)
     padded = np.full(n, 3 * n, dtype=np.intp)
     padded[:len(logs)] = logs
     logs = padded[plan.in_map]
@@ -239,9 +300,11 @@ def evaluate_all(p: Poly, n: int) -> tuple[int, ...]:
         raise ValueError(f"n must be {field.n} for GF(2^{field.m}), got {n}")
     if len(p.coeffs) > n:
         raise ValueError(f"degree {p.degree} is not below n = {n}")
-    if type(field) is Field:
-        return tuple(_dft(field, p.coeffs).tolist())
-    return tuple(p.evaluate(field.alpha_pow(i)) for i in range(n))
+    if type(field) is not Field:
+        return tuple(p.evaluate(field.alpha_pow(i)) for i in range(n))
+    if n < PRIME_FACTOR_MIN_N:
+        return tuple(_packed_sum(n, _packed(field), p.coeffs))
+    return tuple(_dft(field, p.coeffs).tolist())
 
 
 def interpolate_all(field: Field, values: Sequence[int]) -> Poly:
@@ -333,7 +396,7 @@ def cyclotomic_quotient(erasure_locator: Poly, n: int) -> Poly:
         raise ValueError(f"n must be {field.n} for GF(2^{field.m}), got {n}")
     if erasure_locator.coeffs == (1,):
         return xn_minus_one(field, n)
-    # the closed form's fixed numpy cost pays off from n = 63 (m = 6) on
+    # the closed form pays off from n = 63 (m = 6) on
     if (type(field) is Field and n > ROW_KERNEL_MIN_LEN
             and 1 <= erasure_locator.degree < n):
         return _closed_form_quotient(erasure_locator)
@@ -353,17 +416,28 @@ def _closed_form_quotient(locator: Poly) -> Poly:
     """
     field = locator.field
     n = field.n
-    log = _plan(field).log
-    logs = log[np.array(locator.coeffs, dtype=np.intp)]
-    powers = np.arange(len(logs))
-    even = _sparse_dft(field, powers[0::2], logs[0::2])
-    odd = _sparse_dft(field, powers[1::2], logs[1::2])
-    roots = np.flatnonzero(even == odd)
-    if len(roots) != len(logs) - 1:
+    coeffs = locator.coeffs
+    # log Q(alpha^e) = -log odd(alpha^e) at each root e
+    if n < PRIME_FACTOR_MIN_N:
+        rows, log = _packed(field), field._log
+        even = _packed_sum(n, rows[0::2], coeffs[0::2])
+        odd = _packed_sum(n, rows[1::2], coeffs[1::2])
+        roots = [i for i in range(n) if even[i] == odd[i]]
+        value_logs = [-log[odd[e]] % n for e in roots]
+    else:
+        import numpy as np
+
+        log = _plan(field).log
+        logs = log[np.array(coeffs, dtype=np.intp)]
+        powers = np.arange(len(logs))
+        even = _sparse_dft(field, powers[0::2], logs[0::2])
+        odd = _sparse_dft(field, powers[1::2], logs[1::2])
+        roots = np.flatnonzero(even == odd)
+        value_logs = (n - log[odd[roots]]) % n
+    if len(roots) != len(coeffs) - 1:
         # fewer distinct roots than its degree: not a product of (x - alpha^e)
         raise ValueError("locator does not divide x^n - 1")
-    # log Q(alpha^e) = -log odd(alpha^e)
-    return _from_root_values(field, roots, (n - log[odd[roots]]) % n)
+    return _from_root_values(field, roots, value_logs)
 
 
 def _from_root_values(field: Field, roots, value_logs) -> Poly:
@@ -374,6 +448,12 @@ def _from_root_values(field: Field, roots, value_logs) -> Poly:
     one sparse inverse transform over their rows (-e) mod n alone.
     """
     n = field.n
+    if n < PRIME_FACTOR_MIN_N:
+        rows, exp = _packed(field), field._exp
+        return Poly._make(field, list(_packed_sum(
+            n, [rows[-e % n] for e in roots], [exp[v] for v in value_logs])))
+    import numpy as np
+
     coeffs = _sparse_dft(field, (n - np.asarray(roots, dtype=np.intp)) % n,
                          value_logs)
     return Poly._make(field, coeffs.tolist())

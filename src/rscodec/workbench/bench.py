@@ -7,6 +7,11 @@ pipeline (suggested) never spends more multiplications than the
 locator-product pipeline (truong) and never needs more Euclidean
 iterations; bench checks that claim on every trial with l >= 1 and by
 default raises if a trial breaks it.
+
+Counting routes every product through the scalar loops, so each
+transform costs n^2 multiplications: a trial at m = 10 takes seconds and
+each further two steps of m about 16 times as long.  bench therefore
+refuses fields above BENCH_MAX_M.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .channel import ChannelSpec, corrupt
 from .counters import CountingField, OpCounter
 
 STEP_ORDER = ("0", "1", "2a", "2b", "3", "other")
+# Largest m that bench counts; see the module docstring.
+BENCH_MAX_M = 10
 
 
 class ComplexityClaimError(RuntimeError):
@@ -76,7 +83,13 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
     sampled per trial uniformly from the decodable range 2t + l < d.
     strict raises ComplexityClaimError as soon as the report would record
     a violation; pass strict=False to collect the report regardless.
+    Fields above BENCH_MAX_M raise ValueError.
     """
+    if params.field.m > BENCH_MAX_M:
+        raise ValueError(
+            f"bench counts O(n^2) multiplications per transform and stops "
+            f"at m = {BENCH_MAX_M}, where a trial takes seconds and each two "
+            f"more steps of m cost about 16x; got m = {params.field.m}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if not 0 <= l < params.d:

@@ -17,7 +17,7 @@ import sys
 from ..codec import DECODERS, CodeParams, decode_suggested, encode
 from ..galois import Field
 from . import blockio
-from .bench import bench, format_report, write_csv
+from .bench import BENCH_MAX_M, bench, format_report, write_csv
 from .channel import ChannelSpec, corrupt
 
 USAGE_ERROR = 2
@@ -202,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default="suggested")
     p_dec.set_defaults(handler=_cmd_decode)
 
-    p_ben = sub.add_parser("bench", help="compare pipeline operation counts")
+    p_ben = sub.add_parser(
+        "bench", help="compare pipeline operation counts",
+        description=f"Count the field operations of every decoder on seeded "
+                    f"random trials.  Counting costs O(n^2) multiplications "
+                    f"per transform, so m is limited to {BENCH_MAX_M}.")
     _field_args(p_ben, required=True)
     p_ben.add_argument("--t", type=int, default=None,
                        help="error count; random within radius if omitted")

@@ -9,17 +9,21 @@ cross-check for the algebraic decoders at small code sizes.
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..codec import CodeParams, DecodeResult, FailureCause, ReceivedWord, encode
 from ..galois import Field
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_MESSAGES = 1 << 20
 
 
 @lru_cache(maxsize=8)
 def _codeword_table(field: Field, k: int) -> np.ndarray:
+    import numpy as np
+
     params = CodeParams(field, k)
     total = field.order ** k
     table = np.empty((total, params.n), dtype=np.uint16)
@@ -58,6 +62,8 @@ def oracle_decode(params: CodeParams, received: ReceivedWord) -> DecodeResult:
     symbols = tuple(received.symbols)
     if len(symbols) != params.n:
         raise ValueError(f"expected {params.n} symbols, got {len(symbols)}")
+
+    import numpy as np
 
     table = _codeword_table(field, k)
     erased = set(received.erasures)

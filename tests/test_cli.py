@@ -2,9 +2,12 @@
 
 import io
 import sys
+import time
 
 import pytest
 
+from rscodec import CodeParams, Field
+from rscodec.workbench import bench
 from rscodec.workbench.cli import main
 
 
@@ -163,6 +166,17 @@ def test_bench_rejects_bad_shape(capsys):
     assert main(["bench", "--m", "3", "--k", "3", "--l", "9",
                  "--trials", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_bench_refuses_fields_above_m_10(capsys):
+    start = time.perf_counter()
+    assert main(["bench", "--m", "12", "--k", "4000", "--trials", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "m = 10" in err and "m = 12" in err
+    with pytest.raises(ValueError, match=r"O\(n\^2\)"):
+        bench(CodeParams(Field(11), 3), 0)
+    assert bench(CodeParams(Field(10), 3), 0).trials == 0
 
 
 def test_block_file_round_trip(tmp_path, rs73):

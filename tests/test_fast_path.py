@@ -16,18 +16,22 @@ plain long division, and the subset interpolation by recovering a known
 polynomial.
 """
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rscodec import (CodeParams, Field, KeyEquationProblem, Poly,
-                     cyclotomic_quotient, erasure_locator, evaluate_all,
-                     encode, interpolate_all, interpolate_subset,
-                     solve_key_equation)
+from rscodec import (DECODERS, CodeParams, Field, KeyEquationProblem, Poly,
+                     ReceivedWord, cyclotomic_quotient, erasure_locator,
+                     evaluate_all, encode, interpolate_all,
+                     interpolate_subset, solve_key_equation)
 from rscodec import polynomial, spectral
 from rscodec.galois import MAX_M, MIN_M
 from rscodec.polynomial import ROW_KERNEL_MIN_LEN, xn_minus_one
@@ -211,6 +215,86 @@ def test_no_kernel_array_reaches_n_squared(m):
         np.setbufsize(old_size)
     assert peak < 2 * n * n
     assert peak < 48 * CHUNK_ENTRIES
+
+
+def test_packed_table_size():
+    # m = 7 is the largest field below PRIME_FACTOR_MIN_N: 127 x 128 ints
+    # of 127 bytes each
+    rows = spectral._packed(Field(7, OTHER_PRIM_POLYS[7]))
+    size = sys.getsizeof(rows) + sum(
+        sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in rows)
+    assert size < 4_000_000
+
+
+def test_no_plan_below_the_prime_factor_length(monkeypatch):
+    # below n = 255 every transform, quotient and subset interpolation
+    # reads the packed table; the spy sees m = 8's plan only
+    built = []
+    plan = spectral._plan
+
+    def spy(field):
+        built.append(field.n)
+        return plan(field)
+
+    monkeypatch.setattr(spectral, "_plan", spy)
+    for m in range(MIN_M, 9):
+        field = Field(m, OTHER_PRIM_POLYS[m])
+        n = field.n
+        params = CodeParams(field, n // 2)
+        message = list(range(1, params.k + 1))
+        codeword = encode(params, message)
+        received = ReceivedWord(codeword, range(0, n - params.k - 1, 2))
+        for decoder in DECODERS.values():
+            assert decoder(params, received).message == tuple(message)
+        locator = erasure_locator(params, range(1, n, 3))
+        cyclotomic_quotient(locator, n)
+        interpolate_all(field, codeword)
+    assert set(built) == {255}
+
+
+NUMPY_FREE = r"""
+import sys
+from pathlib import Path
+
+import rscodec, rscodec.workbench, rscodec.workbench.cli
+from rscodec import (DECODERS, CodeParams, Field, ReceivedWord,
+                     decode_errors_only, encode, spectral)
+from rscodec.workbench.cli import main
+
+for m, k in ((3, 3), (4, 7)):
+    params = CodeParams(Field(m), k)
+    message = tuple(range(1, k + 1))
+    codeword = encode(params, message)
+    symbols = list(codeword)
+    symbols[5] ^= 1
+    received = ReceivedWord(symbols, (0, 1))
+    for decoder in DECODERS.values():
+        assert decoder(params, received).message == message
+    assert decode_errors_only(params, codeword).message == message
+work = Path(sys.argv[1])
+(work / "messages.txt").write_text("1 2 3 4 5 6 7\n15 0 0 0 0 0 9\n")
+assert main(["encode", "--m", "4", "--k", "7", "--in", str(work / "messages.txt"),
+             "--out", str(work / "blocks.txt")]) == 0
+for algorithm in (*DECODERS, "errors-only"):
+    assert main(["decode", "--algorithm", algorithm, "--in",
+                 str(work / "blocks.txt"), "--out", str(work / "out.txt")]) == 0
+    assert (work / "out.txt").read_text() == (work / "messages.txt").read_text()
+assert "numpy" not in sys.modules, "a field with m <= 4 imported numpy"
+CodeParams(Field(8), 223)
+assert "numpy" in sys.modules, "CodeParams at m = 8 left numpy to the encode"
+assert spectral._plan.cache_info().currsize == 1
+"""
+
+
+def test_small_fields_never_import_numpy(tmp_path):
+    # a fresh interpreter, since this one has numpy loaded; at m = 8 the
+    # import and the plan belong to CodeParams, not to the first encode
+    source = Path(spectral.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(source))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @st.composite
