@@ -4,8 +4,7 @@ Encoding is nonsystematic: codeword symbol i is the message polynomial
 evaluated at alpha^i.  Three erasure-capable decoding pipelines plus a
 plain errors-only decoder all reduce to one partial extended Euclidean
 solve and recover the message whenever 2t + l < d.  The workbench
-subpackage adds channel simulation, a brute-force reference decoder,
-operation counting, and a CLI.
+subpackage adds channel simulation, operation counting, and a CLI.
 """
 
 from .codec import (DECODERS, CodeParams, DecodeResult, FailureCause,

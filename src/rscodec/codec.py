@@ -58,7 +58,6 @@ from .spectral import (check_positions, cyclotomic_quotient, evaluate_all,
 class FailureCause(Enum):
     DIVISION_INEXACT = "division_inexact"
     DEGREE_OVERFLOW = "degree_overflow"
-    TIE = "tie"  # used by the workbench oracle only
 
 
 @dataclass(frozen=True)

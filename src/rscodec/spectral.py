@@ -58,8 +58,8 @@ runs in chunks of output rows so that no temporary holds more than
 CHUNK_ENTRIES entries.
 
 cyclotomic_quotient, Q = (x^n - 1) / locator, has two paths as well.  A
-plain Field takes a closed form when n > ROW_KERNEL_MIN_LEN and
-1 <= deg(locator) < n.  Differentiating x^n - 1 = locator * Q gives
+plain Field takes a closed form when 1 <= deg(locator) < n.
+Differentiating x^n - 1 = locator * Q gives
 x^(n-1) = locator' * Q at each root a = alpha^e of the locator, since
 locator(a) = 0 and n is odd, so
 
@@ -71,8 +71,8 @@ over only the l root rows.  Below 255 these sparse transforms XOR packed
 rows: rows[r][v] is v times row r of the DFT.  From 255 on they compute
 their rows: for x = e*j < n^2, x mod n is congruent to
 (x & n) + (x >> m), which is below 2n, and exp is periodic up to 3n.
-Everything else, CountingField included, takes the long division of
-x^n - 1.
+A CountingField, and a locator of degree 0 or n, takes the long division
+of x^n - 1.
 
 interpolate_subset, through the n - l surviving positions, has two paths:
 
@@ -396,9 +396,7 @@ def cyclotomic_quotient(erasure_locator: Poly, n: int) -> Poly:
         raise ValueError(f"n must be {field.n} for GF(2^{field.m}), got {n}")
     if erasure_locator.coeffs == (1,):
         return xn_minus_one(field, n)
-    # the closed form pays off from n = 63 (m = 6) on
-    if (type(field) is Field and n > ROW_KERNEL_MIN_LEN
-            and 1 <= erasure_locator.degree < n):
+    if type(field) is Field and 1 <= erasure_locator.degree < n:
         return _closed_form_quotient(erasure_locator)
     quot, rem = divmod(xn_minus_one(field, n), erasure_locator)
     if not rem.is_zero:

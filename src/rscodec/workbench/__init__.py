@@ -1,11 +1,10 @@
-"""Workbench around the codec: channel simulation, a brute-force reference
-decoder, instrumented operation counting, benchmarks, and the CLI."""
+"""Workbench around the codec: channel simulation, instrumented operation
+counting, benchmarks, and the CLI."""
 
 from .bench import (ComplexityClaimError, OpCountReport, StepCounts, bench,
                     format_report, write_csv)
 from .channel import ChannelSpec, corrupt
 from .counters import CountingField, OpCounter
-from .oracle import oracle_decode
 
 __all__ = [
     "ChannelSpec",
@@ -17,6 +16,5 @@ __all__ = [
     "bench",
     "corrupt",
     "format_report",
-    "oracle_decode",
     "write_csv",
 ]

@@ -1,11 +1,13 @@
-"""Text format for codeword blocks.
+r"""Text format for codeword blocks.
 
 A block file starts with one header line
 
     rs <n> <k> <m> <prim_poly_hex>
 
 followed by one line per block: n space-separated decimal symbols, with a
-literal ? marking an erased position.  n, k, m and the symbols are ASCII
+literal ? marking an erased position.  Tokens are separated by runs of
+ASCII space or tab, and a line ends in \n, \r\n or the end of the file;
+a line of spaces and tabs alone is blank.  n, k, m and the symbols are ASCII
 digits only ([0-9]+): no sign, no digit separator, no other script.
 prim_poly_hex is ASCII hex digits, optionally after the 0x that
 write_header puts there ((0x)?[0-9A-Fa-f]+).
@@ -25,6 +27,18 @@ ERASURE_MARK = "?"
 
 class BlockFormatError(ValueError):
     """Malformed block file content."""
+
+
+def _tokens(line: str) -> list[str]:
+    r"""The tokens of one line; see the module docstring.
+
+    str.split() would also split on NBSP, \v, \f and \x1c-\x1f, and take
+    a line of them for blank; here they stay in a token, which then fails
+    to parse.
+    """
+    if line.endswith("\n"):
+        line = line[:-2] if line.endswith("\r\n") else line[:-1]
+    return [token for token in line.replace("\t", " ").split(" ") if token]
 
 
 def _decimal(token: str) -> int:
@@ -67,7 +81,7 @@ def write_block(out: TextIO, symbols: Sequence[int],
 
 
 def read_header(line: str) -> CodeParams:
-    parts = line.split()
+    parts = _tokens(line)
     if len(parts) != 5 or parts[0] != "rs":
         raise BlockFormatError(
             f"expected header 'rs n k m prim_poly_hex', got {line.rstrip()!r}")
@@ -89,14 +103,14 @@ def read_header(line: str) -> CodeParams:
 def read_blocks(handle: TextIO) -> tuple[CodeParams, list[ReceivedWord]]:
     """Parse a block file into code parameters and received words."""
     header = handle.readline()
-    if not header.strip():
+    if not _tokens(header):
         raise BlockFormatError("missing header line")
     params = read_header(header)
     blocks = []
     for lineno, line in enumerate(handle, start=2):
-        if not line.strip():
+        tokens = _tokens(line)
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != params.n:
             raise BlockFormatError(
                 f"line {lineno}: expected {params.n} symbols, got {len(tokens)}")
@@ -126,9 +140,9 @@ def read_messages(handle: TextIO, params: CodeParams) -> list[tuple[int, ...]]:
     """Parse lines of k space-separated message symbols."""
     messages = []
     for lineno, line in enumerate(handle, start=1):
-        if not line.strip():
+        tokens = _tokens(line)
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != params.k:
             raise BlockFormatError(
                 f"line {lineno}: expected {params.k} symbols, got {len(tokens)}")

@@ -71,7 +71,8 @@ def _open_in(path: str):
     if path == "-":
         yield sys.stdin
     else:
-        with open(path, "r") as handle:
+        # lines end as on piped stdin: at \n only, so a lone \r is no break
+        with open(path, "r", newline="\n") as handle:
             yield handle
 
 
@@ -97,7 +98,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _parse_positions(text: str, t: int, l: int) -> tuple[tuple, tuple]:
     try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(blockio._decimal(tok) for tok in text.split(","))
     except ValueError:
         raise UsageError(f"bad --positions value: {text!r}") from None
     if len(values) != t + l:

@@ -146,6 +146,10 @@ def test_usage_errors(tmp_path, message_file, capsys):
     # positions list of the wrong length
     assert main(["corrupt", "--t", "2", "--positions", "1",
                  "--in", str(blocks)]) == 2
+    # int() would read these as 3 and 1: positions are [0-9]+ like symbols
+    assert main(["corrupt", "--t", "2", "--positions", "\u0663,+1",
+                 "--in", str(blocks)]) == 2
+    assert "bad --positions value" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -288,8 +292,28 @@ def test_line_ending_variants_decode(tmp_path, text, capsys):
     ("rs 99999999999 5 99999999999 0x11d\n", "bad code parameters"),
     (f"rs 7 {10**20} 3 0xb\n0 0 0 0 0 0 0\n", "bad code parameters"),
     ("rs 7 3 3 0xb\n0 2 3 3 0\n", "line 2: expected 7 symbols, got 5"),
-], ids=["blank-header", "huge-header", "huge-k", "truncated-last-line"])
+    # str.split() takes NBSP, \v, \f and \x1c-\x1f for separators too
+    ("rs\xa07\xa03\xa03\xa00xb\n0 2 3 3 0 1 2\n", "expected header"),
+    ("rs 7 3 3 0xb\n0\xa02 3 3 0 1 2\n", "line 2: expected 7 symbols, got 6"),
+    ("rs 7 3 3 0xb\n0 2 3 3 0 1\x0b2\n", "line 2: expected 7 symbols, got 6"),
+    (CLEAN_BLOCK + "\x1c\n" + CLEAN_BLOCK[13:], "line 3: expected 7 symbols"),
+    (CLEAN_BLOCK + "\x0c \t\n", "line 3: expected 7 symbols, got 1"),
+    (CLEAN_BLOCK.replace("\n", "\r", 1), "expected header"),
+], ids=["blank-header", "huge-header", "huge-k", "truncated-last-line",
+        "nbsp-header", "nbsp-symbols", "vt-symbols", "fs-line", "ff-line",
+        "cr-line"])
 def test_malformed_block_file_is_rejected(tmp_path, text, message, capsys):
     path = write_lines(tmp_path / "blocks.txt", text)
     assert main(["decode", "--in", path]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_message_separators_are_space_or_tab(tmp_path, monkeypatch, capsys):
+    # str.split() would read this line as the message 1 2 3
+    message = write_lines(tmp_path / "message.txt", "1\x1c2\x1c3\n")
+    assert main(["encode", "--m", "3", "--k", "3", "--in", message]) == 2
+    assert "line 1: expected 3 symbols, got 1" in capsys.readouterr().err
+    # piped stdin keeps the \r of \r\n
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 \t2\t3 \r\n\t\r\n"))
+    assert main(["encode", "--m", "3", "--k", "3"]) == 0
+    assert capsys.readouterr().out == CLEAN_BLOCK

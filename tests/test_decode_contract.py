@@ -11,7 +11,9 @@ GF(2^10), go through all four decoders.  On every word:
   - gao, truong and suggested return the same result;
   - decode_errors_only(p, s) equals decode_suggested(p, ReceivedWord(s)),
     and on a CountingField it spends the same multiplications,
-    inversions and iterations in every step.
+    inversions and iterations in every step;
+  - at RS(15, k <= 3), every ok result is the brute-force oracle's unique
+    nearest codeword.
 
 The counted path pays a schoolbook transform, O(n^2) calls to field.mul,
 and takes seconds per word at m = 10, so the CountingField comparison runs
@@ -22,9 +24,11 @@ a few words with the other four checks only.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import nearest_message
 from rscodec import (CodeParams, Field, ReceivedWord, decode_errors_only,
                      decode_gao, decode_suggested, decode_truong, encode)
 from rscodec.workbench import CountingField, OpCounter
@@ -38,17 +42,22 @@ def words(draw, fields):
     """(params, message, received word, t): t errors, up to 3 past radius."""
     field = FIELDS[draw(st.sampled_from(fields))]
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    n = field.n
-    params = CodeParams(field, rng.randrange(1, n))
+    params = CodeParams(field, rng.randrange(1, field.n))
+    return (params, *corrupted(params, rng))
+
+
+def corrupted(params, rng):
+    """(message, received word, t): t errors, up to 3 past radius."""
+    n, order = params.n, params.field.order
     l = rng.randrange(params.d)
     radius = (params.d - 1 - l) // 2
     t = rng.randint(0, min(radius + 3, n - l))
-    message = tuple(rng.randrange(field.order) for _ in range(params.k))
+    message = tuple(rng.randrange(order) for _ in range(params.k))
     symbols = list(encode(params, message))
     positions = rng.sample(range(n), t + l)
     for pos in positions[:t]:
-        symbols[pos] ^= rng.randrange(1, field.order)
-    return params, message, ReceivedWord(tuple(symbols), tuple(positions[t:])), t
+        symbols[pos] ^= rng.randrange(1, order)
+    return message, ReceivedWord(tuple(symbols), tuple(positions[t:])), t
 
 
 def decode_all(params, word):
@@ -115,3 +124,30 @@ def test_errors_only_costs_what_suggested_costs(case):
     assert (counted_steps(decode_errors_only, params, word.symbols)
             == counted_steps(decode_suggested, params,
                              ReceivedWord(word.symbols)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_decoders_return_the_nearest_codeword(k):
+    # RS(15, k) has at most 16^3 codewords, few enough to search them all
+    params = CodeParams(FIELDS[4], k)
+    rng = random.Random(k)
+    past_radius = 0
+    for _ in range(1000):
+        message, word, t = corrupted(params, rng)
+        plain = check_contract(params, message, word, t)
+        nearest = nearest_message(params, word)
+        if 2 * t + len(word.erasures) < params.d:
+            assert nearest == message
+        else:
+            past_radius += 1
+        for result, _ in plain[:3]:
+            assert not result.ok or result.message == nearest
+        # errors-only reads every symbol, the zero-filled erasures included
+        errors_only = plain[3][0]
+        sent = encode(params, message)
+        errors = sum(1 for a, b in zip(sent, word.symbols) if a != b)
+        nearest = nearest_message(params, ReceivedWord(word.symbols))
+        if 2 * errors < params.d:
+            assert nearest == errors_only.message == message
+        assert not errors_only.ok or errors_only.message == nearest
+    assert past_radius >= 200

@@ -346,7 +346,7 @@ def erasure_sets(draw):
 @given(erasure_sets(), st.integers(1, 1023))
 @example((3, [4]), 1)                        # l = 1
 @example((3, [6, 5, 4, 3, 2, 1]), 1)         # l = n - 1 = d - 1 at k = 1
-@example((6, [62]), 5)                       # closed form from n = 63 on
+@example((6, [62]), 5)                       # l = 1 at n = 63
 @example((6, list(range(62))), 1)
 @example((8, list(range(254, 0, -1))), 1)    # l = n - 1 at m = 8
 @example((8, [0, 9, 100]), 77)               # non-monic locator
@@ -388,6 +388,31 @@ def test_quotient_rejects_a_non_dividing_locator(m):
         for ctx in (field, scalar(field)):
             with pytest.raises(ValueError, match="does not divide"):
                 cyclotomic_quotient(Poly(ctx, locator.coeffs), field.n)
+
+
+def test_quotient_dispatch(monkeypatch):
+    # every plain field takes the closed form for 1 <= deg < n; only a
+    # CountingField, a constant locator and x^n - 1 itself divide
+    calls = []
+    divmod_ = Poly.__divmod__
+
+    def spy(self, other):
+        calls.append(type(self.field) is Field)
+        return divmod_(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", spy)
+    for m in range(MIN_M, 9):
+        field = FIELDS[m]
+        n = field.n
+        params = CodeParams(field, 1)
+        for positions in ([0], [n - 1, 2], range(1, n, 2), range(1, n)):
+            cyclotomic_quotient(erasure_locator(params, positions), n)
+    assert calls == []
+    field = FIELDS[4]
+    cyclotomic_quotient(erasure_locator(CodeParams(scalar(field), 1), [3]), 15)
+    cyclotomic_quotient(Poly(field, [5]), 15)
+    cyclotomic_quotient(xn_minus_one(field, 15), 15)
+    assert calls == [False, True, True]
 
 
 def test_row_kernel_dispatch_follows_divisor_length(monkeypatch):
