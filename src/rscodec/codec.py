@@ -139,21 +139,16 @@ def encode(params: CodeParams, message) -> tuple[int, ...]:
 
 
 def erasure_locator(params: CodeParams, positions) -> Poly:
-    """Monic product of (x - alpha^pos) over the erased positions."""
+    """Monic product of (x - alpha^pos) over the erased positions.
+
+    l positions cost O(l^2) field operations: in GF(2^12) on CPython 3.11,
+    about 0.06 s at l = 1000 and 0.8 to 1 s at l = 4000.
+    """
     return root_product(params.field, check_positions(positions, params.n))
 
 
 def _phase(counter, label: str):
     return counter.step(label) if counter is not None else nullcontext()
-
-
-def _check_symbols(params: CodeParams, symbols) -> tuple[int, ...]:
-    syms = tuple(symbols)
-    if len(syms) != params.n:
-        raise ValueError(f"expected {params.n} symbols, got {len(syms)}")
-    for value in syms:
-        params.field.check_element(value)
-    return syms
 
 
 def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
@@ -163,13 +158,19 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
     interpolate(field, symbols, erasures) is step 1.  prepare(received,
     locator) is step 2a and returns (known, modulus, factor), where
     factor is None or a polynomial that step 3 divides out besides W.
+    ReceivedWord checks and sorts the erasures and step 1 range-checks
+    the symbols, so only the early return, which skips step 1, checks them.
     """
-    syms = _check_symbols(params, symbols)
+    syms = tuple(symbols)
+    if len(syms) != params.n:
+        raise ValueError(f"expected {params.n} symbols, got {len(syms)}")
     if len(erasures) >= params.d:
+        for value in syms:
+            params.field.check_element(value)
         return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
 
     with _phase(counter, "0"):
-        locator = erasure_locator(params, erasures)
+        locator = root_product(params.field, erasures)
     with _phase(counter, "1"):
         received = interpolate(params.field, syms, erasures)
     with _phase(counter, "2a"):

@@ -9,10 +9,13 @@ at alpha^-j, so only evaluate_all chooses a path, by the field context:
 
   packed table  a plain Field with n < PRIME_FACTOR_MIN_N = 255 (m <= 7),
                 in pure Python.
-  prime-factor kernel  a plain Field with n >= 255, in numpy.  All
-                arithmetic is in the log domain: log maps 0 to 3n and exp
-                is zero from 3n on, so a zero coefficient adds
+  prime-factor kernel  a plain Field with a composite n >= 255, in numpy.
+                All arithmetic is in the log domain: log maps 0 to 3n and
+                exp is zero from 3n on, so a zero coefficient adds
                 exp[3n + e] = 0 with no mask.
+  computed rows  a plain Field with the prime n = 8191 (m = 13), which
+                has no factors to split: every row of the DFT, computed
+                in numpy in the same log domain.
   Horner loop   a CountingField only: n Horner evaluations through
                 Poly.evaluate, O(n^2) counted multiplications, so the
                 workbench's operation counts are those of the schoolbook
@@ -29,7 +32,7 @@ table is built on first use and cached per field; at m = 7 it holds
 127 * 128 ints of 127 bytes, under 3 MB.
 
 numpy is imported on first use, never at import: by the prime-factor
-kernel, by its sparse reads below and by polynomial's row kernels, which
+kernel, by the computed rows below and by polynomial's row kernels, which
 serve polynomials of at least ROW_KERNEL_MIN_LEN = 32 coefficients.
 Below m = 5 no polynomial of the codec is that long (x^15 - 1 has 16
 coefficients), so a process that only uses m <= 4 never imports numpy.
@@ -52,10 +55,15 @@ DFT along axis k:
 an n_k x n_k table.  The work is n * (n_1 + ... + n_K) lookups instead of
 n^2.  Each stage reduces over the array's first axis, which holds j_k,
 and moves the resulting i_k axis to the back, so the next factor's axis
-comes first.  A prime n (m = 13) keeps no table: it is one stage whose
-rows are computed per chunk, as in the sparse reads below.  Every stage
-runs in chunks of output rows so that no temporary holds more than
-CHUNK_ENTRIES entries.
+comes first.  Every stage runs in chunks of output rows so that no
+temporary holds more than CHUNK_ENTRIES entries.
+
+One reader, _row_sum(field, js, values), sums chosen rows of the DFT:
+out[i] = sum over r of values[r] * alpha^(i * js[r]).  It reads packed
+rows below 255 and from 255 on computes them in chunks: for
+x = i*j < n^2, x mod n is congruent to (x & n) + (x >> m), which is
+below 2n, and exp is periodic up to 3n.  The two sparse reads below, of
+the l rows at the roots of an erasure locator, go through it as well.
 
 cyclotomic_quotient, Q = (x^n - 1) / locator, has two paths as well.  A
 plain Field takes a closed form when 1 <= deg(locator) < n.
@@ -66,13 +74,10 @@ locator(a) = 0 and n is odd, so
     Q(alpha^e) = alpha^-e / locator'(alpha^e) = 1 / locator_odd(alpha^e)
 
 where locator_odd, the odd-degree terms, equals x * locator'.  Q vanishes
-at every other alpha^i, and deg Q < n, so Q is one inverse transform read
-over only the l root rows.  Below 255 these sparse transforms XOR packed
-rows: rows[r][v] is v times row r of the DFT.  From 255 on they compute
-their rows: for x = e*j < n^2, x mod n is congruent to
-(x & n) + (x >> m), which is below 2n, and exp is periodic up to 3n.
-A CountingField, and a locator of degree 0 or n, takes the long division
-of x^n - 1.
+at every other alpha^i, and deg Q < n, so Q is _row_sum over only the
+l root rows (-e) mod n.  The roots are where the even and odd terms,
+each _row_sum over their own rows, agree.  A CountingField, and a
+locator of degree 0 or n, takes the long division of x^n - 1.
 
 interpolate_subset, through the n - l surviving positions, has two paths:
 
@@ -85,9 +90,10 @@ interpolate_subset, through the n - l surviving positions, has two paths:
                 from its values: the positions are known, so no root
                 search is needed, and M(alpha^e) = 1 / locator_odd(alpha^e)
                 at each missing e is one Horner evaluation of the odd
-                part, followed by the same sparse inverse transform as the
-                closed form.  Both cost O(l^2), so with fewer survivors
-                than missing positions M is root_product of the survivors.
+                part, followed by the same _row_sum over the l root rows
+                as the closed form.  The locator and the Horner
+                evaluations cost O(l^2), so with fewer survivors than
+                missing positions M is root_product of the survivors.
   Lagrange loop a CountingField only: root_product of the survivors, then
                 one basis division and evaluation per survivor, so the
                 workbench counts the paper's gao interpolation.
@@ -97,6 +103,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cache
+from itertools import compress
+from operator import eq
 from typing import TYPE_CHECKING, NamedTuple
 
 from .galois import Field
@@ -134,15 +142,6 @@ def _packed(field: Field) -> tuple[tuple[int, ...], ...]:
             row[exp[s]] = int.from_bytes(logs.translate(shift), "little")
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _packed_sum(n: int, rows, values) -> bytes:
-    """out[i] = sum over r of values[r] * alpha^(i * j_r) for i in [0, n),
-    as n bytes, where rows[r] is the packed row j_r."""
-    acc = 0
-    for row, value in zip(rows, values):
-        acc ^= row[value]
-    return acc.to_bytes(n, "little")
 
 
 def prepare_tables(field: Field) -> None:
@@ -242,44 +241,49 @@ def _stage(exp: np.ndarray, table: np.ndarray, logs: np.ndarray) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _sparse_dft(field: Field, multipliers, logs) -> np.ndarray:
-    """out[i] = XOR over r of exp[logs[r] + (multipliers[r] * i mod n)]
-    for i in [0, n), as uint16, for n >= 255.
+def _row_sum(field: Field, js: Sequence[int],
+             values: Sequence[int]) -> Sequence[int]:
+    """out[i] = sum over r of values[r] * alpha^(i * js[r]) for i in [0, n).
 
-    Each row is computed, folded once to below 2n (see the module
-    docstring).  logs come from row_tables' log.
+    values are field elements.  Below n = 255 the packed rows give n
+    bytes; from 255 on the computed rows (see the module docstring) give
+    a list.  Either way the entries are plain ints.
     """
+    n = field.n
+    if n < PRIME_FACTOR_MIN_N:
+        rows = _packed(field)
+        acc = 0
+        for j, value in zip(js, values):
+            acc ^= rows[j][value]
+        return acc.to_bytes(n, "little")
     import numpy as np
 
-    n, m = field.n, field.m
-    exp = _plan(field).exp
-    multipliers = np.asarray(multipliers, dtype=np.intp)[:, None]
-    logs = np.asarray(logs, dtype=np.intp)[:, None]
+    plan = _plan(field)
+    multipliers = np.asarray(js, dtype=np.intp)[:, None]
+    logs = plan.log[np.asarray(values, dtype=np.intp)][:, None]
     step = max(1, CHUNK_ENTRIES // max(1, len(logs)))
     out = np.empty(n, dtype=np.uint16)
     for start in range(0, n, step):
         x = multipliers * np.arange(start, min(start + step, n))
-        high = x >> m
+        high = x >> field.m
         x &= n
         x += high
         x += logs
-        out[start:start + step] = np.bitwise_xor.reduce(exp[x], axis=0)
-    return out
+        out[start:start + step] = np.bitwise_xor.reduce(plan.exp[x], axis=0)
+    return out.tolist()
 
 
 def _dft(field: Field, coeffs: Sequence[int]) -> np.ndarray:
     """out[i] = sum_j coeffs[j] * alpha^(i*j) for i in [0, n), as uint16.
 
-    Requires 255 <= n and len(coeffs) <= n.  The prime-factor kernel of
-    the module docstring.
+    Requires a composite n >= 255 and len(coeffs) <= n.  The prime-factor
+    kernel of the module docstring.
     """
     import numpy as np
 
     plan = _plan(field)
     n = field.n
     logs = plan.log[np.array(coeffs, dtype=np.intp)]
-    if plan.tables is None:  # a prime n
-        return _sparse_dft(field, np.arange(len(logs)), logs)
     padded = np.full(n, 3 * n, dtype=np.intp)
     padded[:len(logs)] = logs
     logs = padded[plan.in_map]
@@ -302,9 +306,10 @@ def evaluate_all(p: Poly, n: int) -> tuple[int, ...]:
         raise ValueError(f"degree {p.degree} is not below n = {n}")
     if type(field) is not Field:
         return tuple(p.evaluate(field.alpha_pow(i)) for i in range(n))
-    if n < PRIME_FACTOR_MIN_N:
-        return tuple(_packed_sum(n, _packed(field), p.coeffs))
-    return tuple(_dft(field, p.coeffs).tolist())
+    if n >= PRIME_FACTOR_MIN_N and _plan(field).tables is not None:
+        return tuple(_dft(field, p.coeffs).tolist())
+    # the packed table, or a prime n's computed rows
+    return tuple(_row_sum(field, range(len(p.coeffs)), p.coeffs))
 
 
 def interpolate_all(field: Field, values: Sequence[int]) -> Poly:
@@ -363,13 +368,17 @@ def interpolate_subset(field: Field, points: Sequence[tuple[int, int]]) -> Poly:
             return full % root_product(field, [pos for pos, _ in points])
         # M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e, where
         # locator_odd(alpha^e) = alpha^e * odd(alpha^2e) for the polynomial
-        # odd holding the locator's odd-degree coefficients
+        # odd holding the locator's odd-degree coefficients.  Horner's rule
+        # at l points costs l^2 / 2 products, _row_sum l n / 2, and it keeps
+        # Poly.evaluate, whose span perfbench reads, on the decode path.
         locator = root_product(field, missing)
         odd = Poly._make(field, list(locator.coeffs[1::2]))
-        value_logs = [
-            -(e + field.log(odd.evaluate(field.alpha_pow(2 * e)))) % n
+        values = [field.alpha_pow(
+            -e - field.log(odd.evaluate(field.alpha_pow(2 * e))))
             for e in missing]
-        return full % _from_root_values(field, missing, value_logs)
+        # M's coefficient j is sum_e M(alpha^e) alpha^(-ej): rows (-e) mod n
+        return full % Poly._make(field, list(_row_sum(
+            field, [-e % n for e in missing], values)))
 
     for _, value in points:
         field.check_element(value)
@@ -410,48 +419,17 @@ def _closed_form_quotient(locator: Poly) -> Poly:
     Q = (x^n - 1) / locator vanishes at every alpha^i that is not a root
     of the locator, and at a root a it is 1 / locator_odd(a), where
     locator_odd holds the odd-degree terms (see the module docstring).
-    deg Q < n, so one sparse inverse transform over the root rows gives Q.
+    deg Q < n, so Q's coefficient j is sum_e Q(alpha^e) alpha^(-ej) over
+    the roots e: _row_sum over the rows (-e) mod n.
     """
     field = locator.field
     n = field.n
     coeffs = locator.coeffs
-    # log Q(alpha^e) = -log odd(alpha^e) at each root e
-    if n < PRIME_FACTOR_MIN_N:
-        rows, log = _packed(field), field._log
-        even = _packed_sum(n, rows[0::2], coeffs[0::2])
-        odd = _packed_sum(n, rows[1::2], coeffs[1::2])
-        roots = [i for i in range(n) if even[i] == odd[i]]
-        value_logs = [-log[odd[e]] % n for e in roots]
-    else:
-        import numpy as np
-
-        log = _plan(field).log
-        logs = log[np.array(coeffs, dtype=np.intp)]
-        powers = np.arange(len(logs))
-        even = _sparse_dft(field, powers[0::2], logs[0::2])
-        odd = _sparse_dft(field, powers[1::2], logs[1::2])
-        roots = np.flatnonzero(even == odd)
-        value_logs = (n - log[odd[roots]]) % n
+    even = _row_sum(field, range(0, len(coeffs), 2), coeffs[0::2])
+    odd = _row_sum(field, range(1, len(coeffs), 2), coeffs[1::2])
+    roots = list(compress(range(n), map(eq, even, odd)))
     if len(roots) != len(coeffs) - 1:
         # fewer distinct roots than its degree: not a product of (x - alpha^e)
         raise ValueError("locator does not divide x^n - 1")
-    return _from_root_values(field, roots, value_logs)
-
-
-def _from_root_values(field: Field, roots, value_logs) -> Poly:
-    """The polynomial of degree < n with value alpha^value_logs[i] at each
-    alpha^roots[i] and zero at every other power of alpha.
-
-    Its coefficient j is sum_e Q(alpha^e) alpha^(-ej) over the roots e:
-    one sparse inverse transform over their rows (-e) mod n alone.
-    """
-    n = field.n
-    if n < PRIME_FACTOR_MIN_N:
-        rows, exp = _packed(field), field._exp
-        return Poly._make(field, list(_packed_sum(
-            n, [rows[-e % n] for e in roots], [exp[v] for v in value_logs])))
-    import numpy as np
-
-    coeffs = _sparse_dft(field, (n - np.asarray(roots, dtype=np.intp)) % n,
-                         value_logs)
-    return Poly._make(field, coeffs.tolist())
+    return Poly._make(field, list(_row_sum(
+        field, [-e % n for e in roots], [field.inv(odd[e]) for e in roots])))

@@ -20,6 +20,7 @@ from rscodec import (
     encode,
     erasure_locator,
 )
+from rscodec.workbench import CountingField, OpCounter
 
 ERASURE_DECODERS = (decode_gao, decode_truong, decode_suggested)
 
@@ -106,6 +107,37 @@ def test_decode_validation(rs73):
         decode_errors_only(rs73, (8,) * 7)
     with pytest.raises(ValueError, match="expected 7 symbols"):
         decode_gao(rs73, ReceivedWord((1, 2, 3)))
+
+
+# out of range, negative, bool and float: none is an element of GF(8)
+BAD_SYMBOLS = (8, -1, True, 1.0)
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["plain", "counted"])
+def test_every_decoder_rejects_a_bad_symbol(gf8, counted):
+    # each decoder checks the symbols once, in step 1 or, with l >= d
+    # erasures, before its early failure; an erased position is
+    # zero-filled by ReceivedWord, so a bad value there is never seen
+    field = CountingField(gf8, OpCounter()) if counted else gf8
+    params = CodeParams(field, 3)
+    message = (3, 1, 4)
+    codeword = encode(params, message)
+    for bad in BAD_SYMBOLS:
+        symbols = list(codeword)
+        symbols[3] = bad
+        with pytest.raises(ValueError):
+            decode_errors_only(params, symbols)
+        for erasures in ((1, 4), (0, 1, 2, 4, 6)):  # l < d and l >= d = 5
+            word = ReceivedWord(symbols, erasures)
+            for decoder in ERASURE_DECODERS:
+                with pytest.raises(ValueError):
+                    decoder(params, word)
+        erased = list(codeword)
+        erased[1] = bad
+        for decoder in ERASURE_DECODERS:
+            assert decoder(params, ReceivedWord(erased, (1, 4))).message == message
+            assert decoder(params, ReceivedWord(erased, (0, 1, 2, 4, 6))).cause \
+                is FailureCause.DEGREE_OVERFLOW
 
 
 def test_clean_word_decodes(rs73):
