@@ -39,7 +39,8 @@ class Field:
     is rejected at construction time.
     """
 
-    __slots__ = ("m", "prim_poly", "order", "n", "alpha", "_exp", "_log")
+    __slots__ = ("m", "prim_poly", "order", "n", "alpha", "_exp", "_log",
+                 "_hash")
 
     def __init__(self, m: int, prim_poly: int | None = None):
         if not MIN_M <= m <= MAX_M:
@@ -81,6 +82,8 @@ class Field:
             raise ValueError(f"prim_poly 0x{prim_poly:X} is not primitive")
         self._exp = tuple(exp)
         self._log = tuple(log)
+        # every per-field cache lookup hashes the field, so hash it once
+        self._hash = hash((m, prim_poly))
 
     def mul(self, a: int, b: int) -> int:
         """Product of two elements."""
@@ -123,7 +126,7 @@ class Field:
         return self.m == other.m and self.prim_poly == other.prim_poly
 
     def __hash__(self) -> int:
-        return hash((self.m, self.prim_poly))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, prim_poly=0x{self.prim_poly:X})"

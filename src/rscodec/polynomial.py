@@ -5,22 +5,24 @@ stored coefficient is nonzero, and the zero polynomial stores nothing at
 all.  Its degree is the MINUS_INF sentinel rather than any integer, so a
 degree comparison can never confuse the zero polynomial with a constant.
 
-Multiplication, division, evaluation, scaling and root_product have two
-paths.  On a plain Field they index its log/antilog tables inline and
-skip zero operands; a division by a divisor of at least ROW_KERNEL_MIN_LEN
-coefficients goes further and subtracts each quotient row as one numpy
-gather-and-XOR (divide_rows), which the key-equation solver shares.
-numpy is imported on that path's first call, so a process whose
-polynomials stay shorter than ROW_KERNEL_MIN_LEN never loads it.  A Field
-subclass, such as the workbench's CountingField, takes the reference
-loops, which route every product through field.mul and every inversion
-through field.inv so that the subclass sees them all.  Both paths give
-bit-identical results, as plain ints.
+On a plain Field, multiplication and division go through two row
+kernels, multiply_rows and divide_rows, which the key-equation solver
+shares.  Each takes its path from one operand's length, the longer factor
+of a product or the divisor of a division.  Below ROW_KERNEL_MIN_LEN
+coefficients it loops inline over the log/antilog tables and skips zero
+terms; from it each row, one operand scaled by one term of the other, is
+a single numpy gather-and-XOR.  numpy is imported on the first such row,
+so a process whose polynomials stay shorter than ROW_KERNEL_MIN_LEN never
+loads it.  Evaluation, scaling and root_product index the tables inline.
+A Field subclass, such as the workbench's CountingField, takes the
+reference loops, which route every product through field.mul and every
+inversion through field.inv so that the subclass sees them all.  Both
+paths give bit-identical results, as plain ints.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -29,11 +31,15 @@ from .galois import Field
 if TYPE_CHECKING:
     import numpy as np
 
+    # a coefficient row: plain elements, or a row kernel's intp array
+    Row = Sequence[int] | np.ndarray
+
 MINUS_INF = float("-inf")
 
-# Shortest divisor, in coefficients, whose division rows run as numpy
-# gathers.  Below it a row is cheaper as an inline loop over the divisor's
-# nonzero terms than as a numpy call with its fixed cost of a few us.
+# Shortest operand, in coefficients, whose rows run as numpy gathers: the
+# divisor of a division, the longer factor of a product.  Below it a row is
+# cheaper as an inline loop over the nonzero terms than as a numpy call
+# with its fixed cost of a few us.
 ROW_KERNEL_MIN_LEN = 32
 
 
@@ -42,9 +48,10 @@ def row_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     """Antilog and log tables of a plain Field as read-only intp arrays.
 
     exp[e] = alpha^e for 0 <= e < 3n and is zero from 3n to 5n, and log
-    maps 0 to 3n.  So exp[log a + e] is a * alpha^e for every element a,
-    zero included, whenever 0 <= e < 2n.  Field hashes by (m, prim_poly),
-    so each field's tables are built once per process.
+    maps 0 to 3n.  So exp[e:][log a] = exp[log a + e] is a * alpha^e for
+    every element a, zero included, whenever 0 <= e < 2n, and a row is one
+    gather through the view exp[e:].  Each field's tables are built once
+    per process.
     """
     import numpy as np
 
@@ -58,32 +65,94 @@ def row_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return exp, log
 
 
-def divide_rows(field: Field, rem: np.ndarray, den_logs: np.ndarray) -> list[int]:
-    """Divide rem in place by the divisor whose coefficient logs are den_logs.
+def as_row(coeffs: Row) -> Row:
+    """coeffs in the row kernels' working form: a list below
+    ROW_KERNEL_MIN_LEN coefficients and an intp array from it.  An array
+    passes through."""
+    if not isinstance(coeffs, (list, tuple)):
+        return coeffs
+    if len(coeffs) < ROW_KERNEL_MIN_LEN:
+        return list(coeffs)
+    import numpy as np
 
-    rem is an intp coefficient array at least as long as the divisor,
-    whose leading coefficient must be nonzero; den_logs comes from
-    row_tables' log, so zero coefficients map to 3n.  Returns the
-    quotient as a list of ints; afterwards rem[:len(den_logs) - 1] holds
-    the remainder and every higher entry is zero.
+    return np.fromiter(coeffs, np.intp, len(coeffs))
+
+
+def multiply_rows(field: Field, a: Row, b: Row, add: Row = ()) -> Row:
+    """a * b + add over a plain Field.
+
+    a and b are coefficient rows, lists, tuples or intp arrays of plain
+    elements, and add is no longer than the product.  Below
+    ROW_KERNEL_MIN_LEN coefficients in the longer factor the product is
+    an inline loop over both factors' nonzero terms and the result a
+    list; from it each nonzero term of the shorter factor adds one row,
+    the longer factor scaled by one numpy gather, and the result is an
+    intp array.
     """
-    exp_rows = row_tables(field)[0]
+    if len(a) < len(b):
+        a, b = b, a
+    size = len(a) + len(b) - 1
+    log = field._log
+    if len(a) < ROW_KERNEL_MIN_LEN:
+        exp = field._exp
+        out = [*add] + [0] * (size - len(add))
+        b_logs = [(j, log[c]) for j, c in enumerate(b) if c]
+        for i, c in enumerate(a):
+            if c:
+                lc = log[c]
+                for j, lc_b in b_logs:
+                    out[i + j] ^= exp[lc + lc_b]
+        return out
+    import numpy as np
+
+    exp_rows, log_rows = row_tables(field)
+    out = np.zeros(size, dtype=np.intp)
+    out[:len(add)] = add
+    a_logs = log_rows[as_row(a)]
+    for j, c in enumerate(b):
+        if c:
+            out[j:j + len(a)] ^= exp_rows[log[c]:][a_logs]
+    return out
+
+
+def divide_rows(field: Field, num: Row, den: Row) -> tuple[list[int], Row]:
+    """Quotient and remainder of num by den over a plain Field.
+
+    num and den are coefficient rows as in multiply_rows, num at least as
+    long as den and den with a nonzero lead.  Returns the quotient as a
+    list and the remainder without trailing zeros.  Below
+    ROW_KERNEL_MIN_LEN coefficients in the divisor each row is an inline
+    loop over its nonzero terms and the remainder a list; from it each row
+    is one numpy gather-and-XOR and the remainder an intp array, a view
+    of num when num is one, since num is then reduced in place.
+    """
     exp, log, n = field._exp, field._log, field.n
-    dd = len(den_logs) - 1
+    dd = len(den) - 1
     # log of 1/lead, so log(cur / lead) = log(cur) + inv_lead_log
-    inv_lead_log = n - int(den_logs[dd])
-    quot = [0] * (len(rem) - dd)
-    for shift in range(len(rem) - dd - 1, -1, -1):
-        cur = rem.item(shift + dd)
-        if not cur:
-            continue
-        lf = log[cur] + inv_lead_log
-        if lf >= n:
-            lf -= n
-        quot[shift] = exp[lf]
-        # the divisor's lead clears rem[shift + dd] in the same row
-        rem[shift:shift + dd + 1] ^= exp_rows[den_logs + lf]
-    return quot
+    inv_lead_log = n - log[den[dd]]
+    quot = [0] * (len(num) - dd)
+    rows = len(den) >= ROW_KERNEL_MIN_LEN
+    if rows:
+        exp_rows, log_rows = row_tables(field)
+        rem, den_logs = as_row(num), log_rows[as_row(den)]
+    else:  # an array num is a Euclid remainder from before the rows ended
+        rem = list(num) if isinstance(num, (list, tuple)) else num.tolist()
+        den_logs = [(j, log[c]) for j, c in enumerate(den[:dd]) if c]
+    for shift in range(len(quot) - 1, -1, -1):
+        cur = rem[shift + dd]
+        if cur:
+            lf = log[cur] + inv_lead_log
+            if lf >= n:
+                lf -= n
+            quot[shift] = exp[lf]
+            if rows:  # the divisor's lead clears rem[shift + dd] here too
+                rem[shift:shift + dd + 1] ^= exp_rows[lf:][den_logs]
+            else:
+                for j, ld in den_logs:
+                    rem[shift + j] ^= exp[lf + ld]
+    while dd and not rem[dd - 1]:
+        dd -= 1
+    return quot, rem[:dd]
 
 
 class Poly:
@@ -103,8 +172,11 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def _make(cls, field: Field, coeffs: list[int]) -> Poly:
-        # internal fast path: coefficients already known to be valid elements
+    def _make(cls, field: Field, coeffs: list[int] | np.ndarray) -> Poly:
+        # internal fast path: coefficients already known to be valid
+        # elements, as a list or as a row kernel's intp array
+        if type(coeffs) is not list:
+            coeffs = coeffs.tolist()
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         p = object.__new__(cls)
@@ -161,16 +233,9 @@ class Poly:
         if not a or not b:
             return Poly._make(self.field, [])
         f = self.field
-        out = [0] * (len(a) + len(b) - 1)
         if type(f) is Field:
-            exp, log = f._exp, f._log
-            b_logs = [(j, log[bj]) for j, bj in enumerate(b) if bj]
-            for i, ai in enumerate(a):
-                if ai:
-                    la = log[ai]
-                    for j, lb in b_logs:
-                        out[i + j] ^= exp[la + lb]
-            return Poly._make(f, out)
+            return Poly._make(f, multiply_rows(f, a, b))
+        out = [0] * (len(a) + len(b) - 1)
         fmul = f.mul
         for i, ai in enumerate(a):
             for j, bj in enumerate(b):
@@ -189,31 +254,12 @@ class Poly:
         if self.is_zero or dn < dd:
             return Poly._make(self.field, []), self
         f = self.field
+        if type(f) is Field:
+            quot, rem = divide_rows(f, self.coeffs, other.coeffs)
+            return Poly._make(f, quot), Poly._make(f, rem)
         den = other.coeffs
-        if type(f) is Field and len(den) >= ROW_KERNEL_MIN_LEN:
-            import numpy as np
-
-            rem = np.array(self.coeffs, dtype=np.intp)
-            quot = divide_rows(f, rem, row_tables(f)[1][list(den)])
-            return Poly._make(f, quot), Poly._make(f, rem[:dd].tolist())
         rem = list(self.coeffs)
         quot = [0] * (dn - dd + 1)
-        if type(f) is Field:
-            exp, log, n = f._exp, f._log, f.n
-            den_logs = [(j, log[c]) for j, c in enumerate(den[:dd]) if c]
-            # log of 1/lead, so log(cur / lead) = log(cur) + inv_lead_log
-            inv_lead_log = n - log[den[-1]]
-            for shift in range(dn - dd, -1, -1):
-                cur = rem[shift + dd]
-                if not cur:
-                    continue
-                lf = log[cur] + inv_lead_log
-                if lf >= n:
-                    lf -= n
-                quot[shift] = exp[lf]
-                for j, ld in den_logs:
-                    rem[shift + j] ^= exp[lf + ld]
-            return Poly._make(f, quot), Poly._make(f, rem[:dd])
         fmul = f.mul
         inv_lead = None if den[-1] == 1 else f.inv(den[-1])
         for shift in range(dn - dd, -1, -1):

@@ -32,8 +32,9 @@ table is built on first use and cached per field; at m = 7 it holds
 127 * 128 ints of 127 bytes, under 3 MB.
 
 numpy is imported on first use, never at import: by the prime-factor
-kernel, by the computed rows below and by polynomial's row kernels, which
-serve polynomials of at least ROW_KERNEL_MIN_LEN = 32 coefficients.
+kernel, by the computed rows below and by the numpy rows of polynomial's
+kernels, which serve operands of at least ROW_KERNEL_MIN_LEN = 32
+coefficients.
 Below m = 5 no polynomial of the codec is that long (x^15 - 1 has 16
 coefficients), so a process that only uses m <= 4 never imports numpy.
 prepare_tables(field) builds a field's tables, and from m = 5 on imports

@@ -1,7 +1,8 @@
 """The table-driven fast paths against the scalar reference.
 
-A plain Field takes Poly's inline log/antilog arithmetic, the numpy row
-kernel for long divisors and in the key-equation solve, the inline
+A plain Field takes the row kernels for products and divisions, inline
+below ROW_KERNEL_MIN_LEN coefficients and numpy rows from it, also in the
+key-equation solve, Poly's inline evaluation and scaling, the inline
 erasure-locator product, the prime-factor transform, the closed-form
 cyclotomic quotient and the subset interpolation as a transform plus a
 reduction; a CountingField over the same field takes the scalar loops
@@ -103,6 +104,63 @@ def test_divmod_matches_scalar(case, lead):
     sq, sr = divmod(sa, sb)
     assert (fq.coeffs, fr.coeffs) == (sq.coeffs, sr.coeffs)
     assert fr.degree < fb.degree
+
+
+@st.composite
+def row_length_pairs(draw):
+    """(m, long, short): long has ROW_KERNEL_MIN_LEN - 1, ROW_KERNEL_MIN_LEN
+    or ROW_KERNEL_MIN_LEN + 1 coefficients and a nonzero lead, short at
+    most as many; zero coefficients are common."""
+    m = draw(st.integers(MIN_M, COUNTED_MAX_M))
+    size = draw(st.sampled_from([ROW_KERNEL_MIN_LEN - 1, ROW_KERNEL_MIN_LEN,
+                                 ROW_KERNEL_MIN_LEN + 1]))
+    lead = draw(st.integers(1, (1 << m) - 1))
+    long = draw(coeff_lists(m, max_len=size - 1))
+    long = long + [0] * (size - 1 - len(long)) + [lead]
+    short = draw(coeff_lists(m, max_len=size))
+    return m, long, short
+
+
+def plain_ints(*polys):
+    return all(type(c) is int for p in polys for c in p.coeffs)
+
+
+@DIFF
+@given(row_length_pairs())
+@example((3, [0] * 30 + [5], [1]))
+@example((10, [0, 1023] * 16, [0, 0, 0, 7]))
+def test_kernels_at_the_row_length_match_scalar(case):
+    m, long, short = case
+    fl, sl = both(m, long)
+    fs, ss = both(m, short)
+    for fast, ref in ((fl * fs, sl * ss), (fs * fl, ss * sl)):
+        assert fast.coeffs == ref.coeffs
+        assert plain_ints(fast)
+    # long as the divisor, of a dividend at least as long and of a shorter one
+    for num in (short + long, short):
+        fn, sn = both(m, num)
+        fq, fr = divmod(fn, fl)
+        sq, sr = divmod(sn, sl)
+        assert (fq.coeffs, fr.coeffs) == (sq.coeffs, sr.coeffs)
+        assert plain_ints(fq, fr)
+
+
+@pytest.mark.parametrize("m, lengths", [(8, (255, 65)), (12, (4095, 17))])
+def test_long_products_match_scalar(m, lengths):
+    # truong's R * L at full length: the longer factor takes one numpy row
+    # per term of the shorter, in either operand order
+    rng = random.Random(m)
+    coeffs = [[rng.randrange(1 << m) if rng.random() < 0.8 else 0
+               for _ in range(size - 1)] + [rng.randrange(1, 1 << m)]
+              for size in lengths]
+    (fa, sa), (fb, sb) = (both(m, c) for c in coeffs)
+    ref = sa * sb
+    for fast in (fa * fb, fb * fa):
+        assert fast.coeffs == ref.coeffs
+        assert plain_ints(fast)
+    quot, rem = divmod(fa * fb + fb, fa)
+    assert quot.coeffs == rem.coeffs == fb.coeffs
+    assert plain_ints(quot, rem)
 
 
 @DIFF
@@ -416,18 +474,51 @@ def test_quotient_dispatch(monkeypatch):
 
 
 def test_row_kernel_dispatch_follows_divisor_length(monkeypatch):
-    calls = []
-    divide_rows = polynomial.divide_rows
+    # only a numpy row fetches the row tables: a division's from a divisor
+    # of ROW_KERNEL_MIN_LEN coefficients, a product's from a longer factor
+    # of that length, in either operand order, and a CountingField's never
+    fetched = []
+    row_tables = polynomial.row_tables
 
-    def spy(field, rem, den_logs):
-        calls.append(len(den_logs))
-        return divide_rows(field, rem, den_logs)
+    def spy(field):
+        fetched.append(field)
+        return row_tables(field)
 
-    monkeypatch.setattr(polynomial, "divide_rows", spy)
+    monkeypatch.setattr(polynomial, "row_tables", spy)
+    rows = []
     for field in (FIELDS[8], scalar(FIELDS[8])):
+        short = Poly(field, [5, 0, 9])
         for length in (ROW_KERNEL_MIN_LEN - 1, ROW_KERNEL_MIN_LEN):
-            divmod(Poly(field, [7] * 80), Poly(field, [3] * length))
-    assert calls == [ROW_KERNEL_MIN_LEN]
+            long = Poly(field, [3] * length)
+            for name, run in (
+                    ("divmod", lambda: divmod(Poly(field, [7] * 80), long)),
+                    ("long * short", lambda: long * short),
+                    ("short * long", lambda: short * long)):
+                fetched.clear()
+                run()
+                if fetched:
+                    rows.append((name, length))
+    assert rows == [("divmod", ROW_KERNEL_MIN_LEN),
+                    ("long * short", ROW_KERNEL_MIN_LEN),
+                    ("short * long", ROW_KERNEL_MIN_LEN)]
+
+
+def test_equal_fields_share_one_cache_entry():
+    # Field's hash is computed once; an equal field and a CountingField over
+    # it hash alike, so every per-field cache serves them from one entry
+    field = Field(6, OTHER_PRIM_POLYS[6])
+    twin = Field(6, OTHER_PRIM_POLYS[6])
+    counted = scalar(twin)
+    assert hash(field) == hash(twin) == hash(counted)
+    assert hash(field) != hash(FIELDS[6])
+    tables, packed = polynomial.row_tables(field), spectral._packed(field)
+    before = (polynomial.row_tables.cache_info().currsize,
+              spectral._packed.cache_info().currsize)
+    for other in (twin, counted):
+        assert polynomial.row_tables(other) is tables
+        assert spectral._packed(other) is packed
+    assert (polynomial.row_tables.cache_info().currsize,
+            spectral._packed.cache_info().currsize) == before
 
 
 def test_key_equation_stage_results_are_plain_ints():

@@ -122,9 +122,10 @@ XN_MINUS_ONE = [1] + [0] * (GF256.n - 1) + [1]
 @st.composite
 def long_problems(draw):
     """(modulus, known, stop_degree) coefficient lists, the modulus monic
-    with at least ROW_KERNEL_MIN_LEN coefficients, so a plain Field takes
-    the numpy row path."""
-    degree = draw(st.integers(ROW_KERNEL_MIN_LEN - 1, 80))
+    with 2 to 81 coefficients: a plain Field keeps its rows as lists below
+    ROW_KERNEL_MIN_LEN coefficients and as numpy arrays from it."""
+    degree = draw(st.one_of(st.integers(1, ROW_KERNEL_MIN_LEN - 1),
+                            st.integers(ROW_KERNEL_MIN_LEN - 1, 80)))
     modulus = draw(st.lists(SYMBOLS, min_size=degree, max_size=degree)) + [1]
     known = draw(st.lists(SYMBOLS, max_size=degree))
     return modulus, known, draw(st.integers(1, degree))
@@ -137,6 +138,9 @@ def long_problems(draw):
 @example(([1] * 40, [7] * 39, 39))
 @example((XN_MINUS_ONE, list(range(1, 255)), 239))
 @example((XN_MINUS_ONE, [3] * 200, 128))
+@example(([5, 1], [], 1))                    # the shortest modulus
+@example(([9, 0, 1], [4], 1))                # a constant known, one step
+@example(([2] * 31 + [1], [7] * 31, 1))      # 32 coefficients, down to 1
 def test_locator_degree_bound_on_both_solve_paths(case):
     # the decoders rely on this bound in place of a radius check: with
     # stop_degree = ceil((deg M + k + deg factor) / 2) it caps deg W at
