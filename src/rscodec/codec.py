@@ -84,8 +84,8 @@ class DecodeResult:
 class CodeParams:
     """An RS(n, k) code; n is fixed at 2^m - 1 by the field.
 
-    A plain Field's transform tables are built, and from m = 5 on numpy
-    is imported, here rather than in the first encode or decode.
+    A plain Field's transform and kernel tables are built, and from m = 9
+    on numpy is imported, here rather than in the first encode or decode.
     """
 
     field: Field

@@ -13,8 +13,9 @@ against known is W.  Only the remainders and the known-side cofactors are
 tracked, which is all the congruence needs.
 
 solve has two paths with the same steps and bit-identical results.  On a
-plain Field it runs the recurrence on coefficient rows, lists below
-ROW_KERNEL_MIN_LEN coefficients and intp arrays from it, and leaves all
+plain Field it runs the recurrence on coefficient rows in the kernels'
+working form (bytes up to m = 8; from m = 9 on lists below
+ROW_KERNEL_MIN_LEN coefficients and intp arrays from it), and leaves all
 arithmetic to polynomial's row kernels: each division is one divide_rows
 call, and each cofactor update and the final monic scaling one
 multiply_rows call.  Any other field context, such as the workbench's
@@ -101,8 +102,8 @@ def _solve_rows(problem: KeyEquationProblem) -> KeyEquationSolution:
     loop.
     """
     field = problem.modulus.field
-    r_prev = as_row(problem.modulus.coeffs)
-    r_cur = as_row(problem.known.coeffs)
+    r_prev = as_row(field, problem.modulus.coeffs)
+    r_cur = as_row(field, problem.known.coeffs)
     v_prev, v_cur = [], [1]
     stop = problem.stop_degree
 

@@ -7,40 +7,77 @@ degree comparison can never confuse the zero polynomial with a constant.
 
 On a plain Field, multiplication and division go through two row
 kernels, multiply_rows and divide_rows, which the key-equation solver
-shares.  Each takes its path from one operand's length, the longer factor
-of a product or the divisor of a division.  Below ROW_KERNEL_MIN_LEN
-coefficients it loops inline over the log/antilog tables and skips zero
-terms; from it each row, one operand scaled by one term of the other, is
-a single numpy gather-and-XOR.  numpy is imported on the first such row,
-so a process whose polynomials stay shorter than ROW_KERNEL_MIN_LEN never
-loads it.  Evaluation, scaling and root_product index the tables inline.
-A Field subclass, such as the workbench's CountingField, takes the
-reference loops, which route every product through field.mul and every
-inversion through field.inv so that the subclass sees them all.  Both
-paths give bit-identical results, as plain ints.
+shares; each row is one operand scaled by one term of the other.  Up to
+BYTE_MAX_M = 8 every element fits in a byte, so a row is a bytes object
+with one coefficient per byte: scaling is one bytes.translate through a
+256-byte table of byte_tables, and adding rows is one XOR of the rows
+read as ints.  Scaling and root_product use the same tables, and numpy
+is never imported.  From m = 9 on each kernel takes its path from one
+operand's length, the longer factor of a product or the divisor of a
+division.  Below ROW_KERNEL_MIN_LEN coefficients it loops inline over
+the log/antilog tables and skips zero terms; from it each row is a
+single numpy gather-and-XOR, numpy imported on the first such row.
+Evaluation, and from m = 9 on scaling and root_product, index the tables
+inline.  A Field subclass, such as the workbench's CountingField, takes
+the reference loops, which route every product through field.mul and
+every inversion through field.inv so that the subclass sees them all.
+All paths give bit-identical results, as plain ints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .galois import Field
 
 if TYPE_CHECKING:
     import numpy as np
 
-    # a coefficient row: plain elements, or a row kernel's intp array
+    # a coefficient row: plain elements, bytes, or a row kernel's intp array
     Row = Sequence[int] | np.ndarray
 
 MINUS_INF = float("-inf")
+
+# Largest m whose elements fit in a byte.  Up to it a row is a bytes object,
+# one coefficient per byte, and the kernels are bytes.translate calls.
+BYTE_MAX_M = 8
 
 # Shortest operand, in coefficients, whose rows run as numpy gathers: the
 # divisor of a division, the longer factor of a product.  Below it a row is
 # cheaper as an inline loop over the nonzero terms than as a numpy call
 # with its fixed cost of a few us.
 ROW_KERNEL_MIN_LEN = 32
+
+
+class ByteTables(NamedTuple):
+    """The byte kernels' tables of a plain Field with m <= BYTE_MAX_M.
+
+    shift[s] maps a log L < n to alpha^(L + s) and every byte from n on to
+    0.  mul[c] maps a to c * a, so row.translate(mul[c]) is the row scaled
+    by c; it is log.translate(shift[log c]) for a byte table log that maps
+    0 to 255, which no log of an element reaches.
+    """
+
+    shift: tuple[bytes, ...]
+    mul: tuple[bytes, ...]
+
+
+@cache
+def byte_tables(field: Field) -> ByteTables:
+    """A plain Field's byte tables, for m <= BYTE_MAX_M.
+
+    Field hashes by (m, prim_poly), so each field's tables are built once
+    per process; at m = 8 they hold 511 strings of 256 bytes.
+    """
+    n, exp = field.n, field._exp
+    log = bytearray(b"\xff" * 256)
+    log[1:field.order] = field._log[1:]
+    log = bytes(log)
+    shift = tuple(bytes(exp[s:s + n]) + bytes(256 - n) for s in range(n))
+    mul = (bytes(256), *(log.translate(shift[lc]) for lc in field._log[1:]))
+    return ByteTables(shift, mul)
 
 
 @cache
@@ -65,10 +102,12 @@ def row_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return exp, log
 
 
-def as_row(coeffs: Row) -> Row:
-    """coeffs in the row kernels' working form: a list below
-    ROW_KERNEL_MIN_LEN coefficients and an intp array from it.  An array
-    passes through."""
+def as_row(field: Field, coeffs: Row) -> Row:
+    """coeffs in the row kernels' working form: bytes up to BYTE_MAX_M;
+    from m = 9 on a list below ROW_KERNEL_MIN_LEN coefficients and an intp
+    array from it.  A row already in that form passes through."""
+    if field.m <= BYTE_MAX_M:
+        return bytes(coeffs)
     if not isinstance(coeffs, (list, tuple)):
         return coeffs
     if len(coeffs) < ROW_KERNEL_MIN_LEN:
@@ -81,17 +120,25 @@ def as_row(coeffs: Row) -> Row:
 def multiply_rows(field: Field, a: Row, b: Row, add: Row = ()) -> Row:
     """a * b + add over a plain Field.
 
-    a and b are coefficient rows, lists, tuples or intp arrays of plain
-    elements, and add is no longer than the product.  Below
-    ROW_KERNEL_MIN_LEN coefficients in the longer factor the product is
-    an inline loop over both factors' nonzero terms and the result a
-    list; from it each nonzero term of the shorter factor adds one row,
-    the longer factor scaled by one numpy gather, and the result is an
-    intp array.
+    a and b are coefficient rows, lists, tuples, bytes or intp arrays of
+    plain elements, and add is no longer than the product.  Each nonzero
+    term of the shorter factor adds one row, the longer factor scaled by
+    that term.  Up to BYTE_MAX_M a row is one translate and one int XOR,
+    and the result is bytes.  From m = 9 on, below ROW_KERNEL_MIN_LEN
+    coefficients in the longer factor the product is an inline loop over
+    both factors' nonzero terms and the result a list; from it a row is
+    one numpy gather and the result an intp array.
     """
     if len(a) < len(b):
         a, b = b, a
     size = len(a) + len(b) - 1
+    if field.m <= BYTE_MAX_M:
+        mul, a = byte_tables(field).mul, bytes(a)
+        acc = int.from_bytes(bytes(add), "little")
+        for j, c in enumerate(b):
+            if c:
+                acc ^= int.from_bytes(a.translate(mul[c]), "little") << 8 * j
+        return acc.to_bytes(size, "little")
     log = field._log
     if len(a) < ROW_KERNEL_MIN_LEN:
         exp = field._exp
@@ -108,33 +155,51 @@ def multiply_rows(field: Field, a: Row, b: Row, add: Row = ()) -> Row:
     exp_rows, log_rows = row_tables(field)
     out = np.zeros(size, dtype=np.intp)
     out[:len(add)] = add
-    a_logs = log_rows[as_row(a)]
+    a_logs = log_rows[as_row(field, a)]
     for j, c in enumerate(b):
         if c:
             out[j:j + len(a)] ^= exp_rows[log[c]:][a_logs]
     return out
 
 
-def divide_rows(field: Field, num: Row, den: Row) -> tuple[list[int], Row]:
+def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
     """Quotient and remainder of num by den over a plain Field.
 
     num and den are coefficient rows as in multiply_rows, num at least as
-    long as den and den with a nonzero lead.  Returns the quotient as a
-    list and the remainder without trailing zeros.  Below
+    long as den and den with a nonzero lead.  Returns the quotient and the
+    remainder without trailing zeros.  Up to BYTE_MAX_M both are bytes:
+    the remainder is one int, num with its lead in the low byte, and each
+    step clears that byte with one translate of the divisor, one XOR and
+    one shift.  From m = 9 on the quotient is a list; below
     ROW_KERNEL_MIN_LEN coefficients in the divisor each row is an inline
-    loop over its nonzero terms and the remainder a list; from it each row
-    is one numpy gather-and-XOR and the remainder an intp array, a view
-    of num when num is one, since num is then reduced in place.
+    loop over its nonzero terms and the remainder a list, and from it each
+    row is one numpy gather-and-XOR and the remainder an intp array, a
+    view of num when num is one, since num is then reduced in place.
     """
-    exp, log, n = field._exp, field._log, field.n
     dd = len(den) - 1
+    if field.m <= BYTE_MAX_M:
+        mul = byte_tables(field).mul
+        inv_lead = field.inv(den[dd])
+        # the divisor below its lead, monic and reversed to match rem
+        tail = bytes(den)[-2::-1].translate(mul[inv_lead])
+        rem = int.from_bytes(bytes(num), "big")
+        tops = bytearray()
+        for _ in range(len(num) - dd):
+            top = rem & 255
+            rem >>= 8
+            tops.append(top)
+            if top:
+                rem ^= int.from_bytes(tail.translate(mul[top]), "little")
+        return (bytes(tops)[::-1].translate(mul[inv_lead]),
+                rem.to_bytes(dd, "big").rstrip(b"\0"))
+    exp, log, n = field._exp, field._log, field.n
     # log of 1/lead, so log(cur / lead) = log(cur) + inv_lead_log
     inv_lead_log = n - log[den[dd]]
     quot = [0] * (len(num) - dd)
     rows = len(den) >= ROW_KERNEL_MIN_LEN
     if rows:
         exp_rows, log_rows = row_tables(field)
-        rem, den_logs = as_row(num), log_rows[as_row(den)]
+        rem, den_logs = as_row(field, num), log_rows[as_row(field, den)]
     else:  # an array num is a Euclid remainder from before the rows ended
         rem = list(num) if isinstance(num, (list, tuple)) else num.tolist()
         den_logs = [(j, log[c]) for j, c in enumerate(den[:dd]) if c]
@@ -172,13 +237,17 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def _make(cls, field: Field, coeffs: list[int] | np.ndarray) -> Poly:
+    def _make(cls, field: Field, coeffs: list[int] | bytes | np.ndarray
+              ) -> Poly:
         # internal fast path: coefficients already known to be valid
-        # elements, as a list or as a row kernel's intp array
-        if type(coeffs) is not list:
-            coeffs = coeffs.tolist()
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        # elements, as a list or as a row kernel's bytes or intp array
+        if type(coeffs) is bytes:
+            coeffs = coeffs.rstrip(b"\0")
+        else:
+            if type(coeffs) is not list:
+                coeffs = coeffs.tolist()
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
         p = object.__new__(cls)
         p.field = field
         p.coeffs = tuple(coeffs)
@@ -281,6 +350,9 @@ class Poly:
         """Product with the scalar c."""
         f = self.field
         if type(f) is Field:
+            if f.m <= BYTE_MAX_M:
+                return Poly._make(f, bytes(self.coeffs).translate(
+                    byte_tables(f).mul[c]))
             if not c:
                 return Poly._make(f, [])
             exp, log = f._exp, f._log
@@ -335,8 +407,10 @@ def xn_minus_one(field: Field, n: int) -> Poly:
 def root_product(field: Field, exponents: Iterable[int]) -> Poly:
     """Monic product of (x - alpha^e) over the exponents, e in [0, n).
 
-    On a plain Field each factor multiplies in place through the log
-    tables, where log(alpha^e) is e itself.  Any other field context
+    On a plain Field up to BYTE_MAX_M the product is one int, a byte per
+    coefficient, and (x - a) p = x p + a p is one shift, one translate and
+    one XOR.  From m = 9 on each factor multiplies in place through the
+    log tables, where log(alpha^e) is e itself.  Any other field context
     multiplies one Poly factor at a time, so every product goes through
     field.mul.
     """
@@ -346,6 +420,14 @@ def root_product(field: Field, exponents: Iterable[int]) -> Poly:
             product = product * Poly._make(field, [field.alpha_pow(e), 1])
         return product
     exp, log = field._exp, field._log
+    if field.m <= BYTE_MAX_M:
+        mul = byte_tables(field).mul
+        product, size = 1, 1
+        for e in exponents:
+            product = (product << 8) ^ int.from_bytes(product.to_bytes(
+                size, "little").translate(mul[exp[e]]), "little")
+            size += 1
+        return Poly._make(field, product.to_bytes(size, "little"))
     coeffs = [1]
     for e in exponents:
         coeffs.append(coeffs[-1])

@@ -9,7 +9,9 @@ at alpha^-j, so only evaluate_all chooses a path, by the field context:
 
   packed table  a plain Field with n < PRIME_FACTOR_MIN_N = 255 (m <= 7),
                 in pure Python.
-  prime-factor kernel  a plain Field with a composite n >= 255, in numpy.
+  byte plan     a plain Field with n = 255 (m = 8), a packed prime-factor
+                transform in pure Python.
+  prime-factor kernel  a plain Field with a composite n > 255, in numpy.
                 All arithmetic is in the log domain: log maps 0 to 3n and
                 exp is zero from 3n on, so a zero coefficient adds
                 exp[3n + e] = 0 with no mask.
@@ -26,22 +28,26 @@ The paths are bit-exact, and all return plain ints.
 The packed table has one row per coefficient index j and, in each row,
 one int per element c: rows[j][c] holds the n products c * alpha^(i*j),
 one byte per output position i, since every element of GF(2^m) with
-m <= 7 fits in a byte.  A transform of k coefficients is k lookups and k
+m <= 8 fits in a byte.  A transform of k coefficients is k lookups and k
 big-int XORs, and one to_bytes(n, "little") unpacks the n values.  The
 table is built on first use and cached per field; at m = 7 it holds
-127 * 128 ints of 127 bytes, under 3 MB.
+127 * 128 ints of 127 bytes, under 3 MB.  At n = 255 it would hold about
+17 MB, so m = 8 takes the byte plan instead: the prime-factor split
+below, 255 = 3 * 5 * 17, with the length-17 DFT as packed rows of 17
+bytes, one lookup and one XOR per coefficient, and the length-3 and
+length-5 DFTs on whole slabs of bytes: slab j scaled by alpha^(n/N * ij)
+is one bytes.translate through polynomial's byte tables, so a stage of
+length N is N^2 translates.  Its tables hold about 0.5 MB.
 
-numpy is imported on first use, never at import: by the prime-factor
-kernel, by the computed rows below and by the numpy rows of polynomial's
-kernels, which serve operands of at least ROW_KERNEL_MIN_LEN = 32
-coefficients.
-Below m = 5 no polynomial of the codec is that long (x^15 - 1 has 16
-coefficients), so a process that only uses m <= 4 never imports numpy.
-prepare_tables(field) builds a field's tables, and from m = 5 on imports
+numpy is imported on first use, never at import, and only from m = 9 on:
+by the prime-factor kernel, by the computed rows below and by the numpy
+rows of polynomial's kernels.  Up to m = 8 every kernel works on bytes,
+so a process that only uses m <= 8 never imports numpy.
+prepare_tables(field) builds a field's tables, and from m = 9 on imports
 numpy, ahead of the first transform; CodeParams calls it.
 
-The prime-factor kernel follows a plan built on first use and cached per
-field.  n splits into pairwise coprime prime powers n_1 ... n_K
+The numpy prime-factor kernel follows a plan built on first use and
+cached per field.  n splits into pairwise coprime prime powers n_1 ... n_K
 (255 = 3 * 5 * 17, 4095 = 9 * 5 * 7 * 13), and the Good-Thomas maps turn
 the DFT into one small DFT per factor with no twiddles.  Coefficient
 j = sum_k j_k (n / n_k) mod n goes to cell (j_1, ..., j_K) of an
@@ -61,7 +67,9 @@ temporary holds more than CHUNK_ENTRIES entries.
 
 One reader, _row_sum(field, js, values), sums chosen rows of the DFT:
 out[i] = sum over r of values[r] * alpha^(i * js[r]).  It reads packed
-rows below 255 and from 255 on computes them in chunks: for
+rows below 255.  At 255 row j holds alpha^(i*j) in byte i, and one
+bytes.translate through the byte table of a product with values[r]
+weights it.  From m = 9 on it computes the rows in numpy chunks: for
 x = i*j < n^2, x mod n is congruent to (x & n) + (x >> m), which is
 below 2n, and exp is periodic up to 3n.  The two sparse reads below, of
 the l rows at the roots of an erasure locator, go through it as well.
@@ -103,60 +111,121 @@ interpolate_subset, through the n - l surviving positions, has two paths:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cache
+from functools import cache, reduce
 from itertools import compress
-from operator import eq
+from operator import eq, getitem, itemgetter, xor
 from typing import TYPE_CHECKING, NamedTuple
 
 from .galois import Field
-from .polynomial import (ROW_KERNEL_MIN_LEN, Poly, root_product, row_tables,
-                         xn_minus_one)
+from .polynomial import (BYTE_MAX_M, Poly, byte_tables, root_product,
+                         row_tables, xn_minus_one)
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Shortest n that the prime-factor kernel serves; below it the packed
-# table is faster, and its bytes hold every element.
+# Shortest n that a prime-factor transform serves: the byte plan at
+# n = 255 (m = 8), numpy's kernel from m = 9 on.  Below it the packed
+# table is faster.
 PRIME_FACTOR_MIN_N = 255
 # Most entries a kernel temporary may hold; larger stages run in chunks.
 CHUNK_ENTRIES = 1 << 20
+
+
+def _packed_rows(field: Field, size: int, step: int
+                 ) -> tuple[tuple[int, ...], ...]:
+    """Packed rows of a length-size DFT over alpha^step, m <= 8.
+
+    rows[j][c] holds c * alpha^(step * (i*j mod size)) in byte i, for i in
+    [0, size); see the module docstring.  Row j is the byte string of
+    those logs, each mapped to alpha^(log + log c) by one bytes.translate
+    per element c.
+    """
+    exp, shift = field._exp, byte_tables(field).shift
+    rows = []
+    for j in range(size):
+        logs = bytes(step * (i * j % size) for i in range(size))
+        row = [0] * field.order
+        for s, to_element in enumerate(shift):
+            row[exp[s]] = int.from_bytes(logs.translate(to_element), "little")
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @cache
 def _packed(field: Field) -> tuple[tuple[int, ...], ...]:
     """The packed table of a plain Field with n < 255, read-only.
 
-    rows[j][c] holds c * alpha^(i*j) in byte i, for i in [0, n); see the
-    module docstring.  Row j is the byte string of logs i*j mod n, each
-    mapped to alpha^(log + log c) by one bytes.translate per element c.
     Field hashes by (m, prim_poly), so each field's table is built once
     per process.
     """
+    return _packed_rows(field, field.n, 1)
+
+
+class _BytePlan(NamedTuple):
+    """The packed prime-factor transform's tables at n = 255, read-only.
+
+    n = A * B * C for the factors (A, B, C) = (3, 5, 17).  columns[B a + b]
+    gathers the C coefficients (n/A a + n/B b + n/C c) mod n, and rows are
+    the _packed_rows of the length-C DFT over alpha^(n/C), so the lookups
+    leave C-byte blocks in [a][b] order.  scales[k][j][i] is the byte
+    table of a product with alpha^(n/N (i*j mod N)), for N = A and then B.
+    The length-A stage leaves the blocks in [i_A][b] order; blocks are
+    their starts in [b][i_A] order, for the length-B stage, which leaves
+    them in [i_B][i_A] order, so out reads out[i] from the byte
+    C (A (i mod B) + (i mod A)) + (i mod C).  power_rows[j] holds
+    alpha^(i*j) in byte i, for _row_sum.
+    """
+
+    columns: tuple[itemgetter, ...]
+    rows: tuple[tuple[int, ...], ...]
+    scales: tuple[tuple[tuple[bytes, ...], ...], ...]
+    blocks: tuple[int, ...]
+    out: itemgetter
+    power_rows: tuple[bytes, ...]
+
+
+@cache
+def _byte_plan(field: Field) -> _BytePlan:
+    """The tables of a plain Field with n = 255 (m = 8); see _BytePlan.
+
+    Field hashes by (m, prim_poly), so each field's tables are built once
+    per process.  With polynomial's byte tables they hold about 0.5 MB; a
+    one-stage packed table at n = 255 would hold about 17 MB.
+    """
     n, exp = field.n, field._exp
-    # shifts[s] maps a log L < n to the byte alpha^(L + s)
-    shifts = [bytes(exp[s:s + n]) + bytes(256 - n) for s in range(n)]
-    rows = []
-    for j in range(n):
-        logs = bytes(i * j % n for i in range(n))
-        row = [0] * field.order
-        for s, shift in enumerate(shifts):
-            row[exp[s]] = int.from_bytes(logs.translate(shift), "little")
-        rows.append(tuple(row))
-    return tuple(rows)
+    shift, mul = byte_tables(field)
+    a_len, b_len, c_len = _coprime_factors(n)
+    columns = tuple(itemgetter(*[
+        (n // a_len * a + n // b_len * b + n // c_len * c) % n
+        for c in range(c_len)]) for a in range(a_len) for b in range(b_len))
+    scales = tuple(tuple(tuple(mul[exp[n // size * (i * j % size)]]
+                               for i in range(size)) for j in range(size))
+                   for size in (a_len, b_len))
+    blocks = tuple(c_len * (b_len * a + b)
+                   for b in range(b_len) for a in range(a_len))
+    out = itemgetter(*[c_len * (a_len * (i % b_len) + i % a_len) + i % c_len
+                       for i in range(n)])
+    # the logs i*j mod n mapped to alpha^(i*j)
+    power_rows = tuple(bytes([i * j % n for i in range(n)]).translate(shift[0])
+                       for j in range(n))
+    return _BytePlan(columns, _packed_rows(field, c_len, n // c_len), scales,
+                     blocks, out, power_rows)
 
 
 def prepare_tables(field: Field) -> None:
-    """Build the tables a plain Field's transforms read, ahead of use.
+    """Build the tables a plain Field's transforms and kernels read, ahead
+    of use.
 
-    The packed table below n = 255, the prime-factor plan from 255 on,
-    and from m = 5 on polynomial's row tables, which import numpy.
+    Up to m = 8 the packed table below n = 255 or the byte plan at 255,
+    each with polynomial's byte tables; from m = 9 on the prime-factor
+    plan, which fetches polynomial's row tables and imports numpy.
     """
     if field.n < PRIME_FACTOR_MIN_N:
         _packed(field)
+    elif field.m <= BYTE_MAX_M:
+        _byte_plan(field)
     else:
         _plan(field)
-    if field.n + 1 >= ROW_KERNEL_MIN_LEN:  # x^n - 1 reaches the row kernel
-        row_tables(field)
 
 
 class _Plan(NamedTuple):
@@ -247,8 +316,9 @@ def _row_sum(field: Field, js: Sequence[int],
     """out[i] = sum over r of values[r] * alpha^(i * js[r]) for i in [0, n).
 
     values are field elements.  Below n = 255 the packed rows give n
-    bytes; from 255 on the computed rows (see the module docstring) give
-    a list.  Either way the entries are plain ints.
+    bytes, at 255 the translated power rows give n bytes, and from m = 9 on
+    the computed rows (see the module docstring) give a list.  Every way
+    the entries are plain ints.
     """
     n = field.n
     if n < PRIME_FACTOR_MIN_N:
@@ -256,6 +326,12 @@ def _row_sum(field: Field, js: Sequence[int],
         acc = 0
         for j, value in zip(js, values):
             acc ^= rows[j][value]
+        return acc.to_bytes(n, "little")
+    if field.m <= BYTE_MAX_M:
+        rows, mul = _byte_plan(field).power_rows, byte_tables(field).mul
+        acc = 0
+        for j, value in zip(js, values):
+            acc ^= int.from_bytes(rows[j].translate(mul[value]), "little")
         return acc.to_bytes(n, "little")
     import numpy as np
 
@@ -274,10 +350,41 @@ def _row_sum(field: Field, js: Sequence[int],
     return out.tolist()
 
 
+def _scale_stage(data: bytes, scales: tuple[tuple[bytes, ...], ...]
+                 ) -> bytes:
+    """One translate stage: data is N slabs x_j, and slab i of the result is
+    the sum over j of omega^(ij) x_j, with scales[j][i] the table of that
+    product."""
+    width = len(data) // len(scales)
+    acc = 0
+    for j, tables in enumerate(scales):
+        slab = data[j * width:(j + 1) * width]
+        acc ^= int.from_bytes(b"".join([slab.translate(table)
+                                        for table in tables]), "little")
+    return acc.to_bytes(len(data), "little")
+
+
+def _byte_dft(field: Field, coeffs: Sequence[int]) -> tuple[int, ...]:
+    """out[i] = sum_j coeffs[j] * alpha^(i*j) for i in [0, n), at n = 255.
+
+    Requires len(coeffs) <= n.  The packed prime-factor transform of the
+    module docstring: the length-17 stage by lookups, then the length-3
+    and length-5 stages by translates.
+    """
+    plan = _byte_plan(field)
+    width = len(plan.rows)
+    padded = tuple(coeffs) + (0,) * (field.n - len(coeffs))
+    data = b"".join([reduce(xor, map(getitem, plan.rows, column(padded)))
+                     .to_bytes(width, "little") for column in plan.columns])
+    data = _scale_stage(data, plan.scales[0])
+    data = b"".join([data[start:start + width] for start in plan.blocks])
+    return plan.out(_scale_stage(data, plan.scales[1]))
+
+
 def _dft(field: Field, coeffs: Sequence[int]) -> np.ndarray:
     """out[i] = sum_j coeffs[j] * alpha^(i*j) for i in [0, n), as uint16.
 
-    Requires a composite n >= 255 and len(coeffs) <= n.  The prime-factor
+    Requires a composite n > 255 and len(coeffs) <= n.  The prime-factor
     kernel of the module docstring.
     """
     import numpy as np
@@ -307,7 +414,9 @@ def evaluate_all(p: Poly, n: int) -> tuple[int, ...]:
         raise ValueError(f"degree {p.degree} is not below n = {n}")
     if type(field) is not Field:
         return tuple(p.evaluate(field.alpha_pow(i)) for i in range(n))
-    if n >= PRIME_FACTOR_MIN_N and _plan(field).tables is not None:
+    if n == PRIME_FACTOR_MIN_N:
+        return _byte_dft(field, p.coeffs)
+    if n > PRIME_FACTOR_MIN_N and _plan(field).tables is not None:
         return tuple(_dft(field, p.coeffs).tolist())
     # the packed table, or a prime n's computed rows
     return tuple(_row_sum(field, range(len(p.coeffs)), p.coeffs))

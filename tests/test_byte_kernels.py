@@ -1,0 +1,191 @@
+"""The byte-packed kernels of fields with m <= 8 against the counted loops.
+
+Up to BYTE_MAX_M a plain Field's rows are bytes objects: products,
+divisions, scaling and the erasure-locator product run through
+bytes.translate and int XOR, the key-equation solve through those two
+kernels, and at n = 255 the transform and the sparse DFT rows run through
+the packed prime-factor tables.  A CountingField over the same field takes
+the scalar loops that route every product through field.mul.  Every
+result must be bit-identical and made of plain ints.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rscodec import (Field, KeyEquationProblem, Poly, evaluate_all,
+                     interpolate_all, solve_key_equation)
+from rscodec import spectral
+from rscodec.galois import MIN_M
+from rscodec.polynomial import BYTE_MAX_M, root_product
+from rscodec.workbench import CountingField, OpCounter
+
+BYTE_M = range(MIN_M, BYTE_MAX_M + 1)
+FIELDS = {m: Field(m) for m in BYTE_M}
+GF256 = FIELDS[8]
+DIFF = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+def scalar(field):
+    return CountingField(field, OpCounter())
+
+
+def plain_ints(*polys):
+    return all(type(c) is int for p in polys for c in p.coeffs)
+
+
+@st.composite
+def rows(draw, m, min_len=0, max_len=70):
+    # small values make zero coefficients common
+    element = st.one_of(st.just(0), st.integers(1, 2),
+                        st.integers(0, (1 << m) - 1))
+    return draw(st.lists(element, min_size=min_len, max_size=max_len))
+
+
+@st.composite
+def row_pairs(draw):
+    """(m, a, b): b is as long as a, or any length up to 70."""
+    m = draw(st.sampled_from(BYTE_M))
+    a = draw(rows(m))
+    b = draw(st.one_of(rows(m), rows(m, len(a), len(a))))
+    return m, a, b
+
+
+def both(m, coeffs):
+    field = FIELDS[m]
+    return Poly(field, coeffs), Poly(scalar(field), coeffs)
+
+
+@DIFF
+@given(row_pairs())
+@example((8, [0, 0, 7, 0], [0, 3, 0, 0, 1]))   # zeros inside both factors
+@example((3, [1, 2, 3], [4, 5, 6]))            # equal lengths
+@example((8, [255] * 64, [255] * 64))
+def test_products_match_counted(case):
+    m, a, b = case
+    (fa, sa), (fb, sb) = both(m, a), both(m, b)
+    for fast, ref in ((fa * fb, sa * sb), (fb * fa, sb * sa)):
+        assert fast.coeffs == ref.coeffs
+        assert plain_ints(fast)
+
+
+@DIFF
+@given(row_pairs(), st.integers(1, 255))
+@example((8, [0] * 40, [0, 0, 0]), 1)          # zero dividend, monic
+@example((8, [9, 0, 0, 0, 5], [0, 0, 0]), 200)  # zero tail under the lead
+@example((5, [1, 2, 3], [4, 5]), 31)           # equal lengths with the lead
+@example((4, [3], []), 7)                      # constant divisor
+@example((8, [0] * 17 + [1], [1] * 16), 2)      # step 3's shape
+def test_divisions_match_counted(case, lead):
+    m, a, b = case
+    b = b + [lead % ((1 << m) - 1) + 1]  # a nonzero lead, not only 1
+    for num in (a, b + a, b):            # shorter, longer and equal dividends
+        (fn, sn), (fd, sd) = both(m, num), both(m, b)
+        fq, fr = divmod(fn, fd)
+        sq, sr = divmod(sn, sd)
+        assert (fq.coeffs, fr.coeffs) == (sq.coeffs, sr.coeffs)
+        assert fr.degree < fd.degree
+        assert plain_ints(fq, fr)
+
+
+@DIFF
+@given(row_pairs(), st.integers(0, 255))
+@example((8, [], []), 0)
+@example((8, [0, 5, 0, 255], []), 0)
+@example((3, [7, 0, 1], []), 1)
+def test_scaling_matches_counted(case, c):
+    m, a, _ = case
+    c %= 1 << m
+    fa, sa = both(m, a)
+    fast = fa.scale(c)
+    assert fast.coeffs == sa.scale(c).coeffs
+    assert plain_ints(fast)
+    assert fast.is_zero == (c == 0 or fa.is_zero)
+
+
+@st.composite
+def root_sets(draw):
+    m = draw(st.sampled_from(BYTE_M))
+    n = (1 << m) - 1
+    count = draw(st.one_of(st.integers(0, n), st.sampled_from([0, 1, n])))
+    return m, draw(st.permutations(range(n)))[:count]
+
+
+@DIFF
+@given(root_sets())
+@example((8, list(range(255))))    # every root: x^255 - 1
+@example((8, [0]))
+@example((3, []))
+def test_root_product_matches_counted(case):
+    m, exponents = case
+    field = FIELDS[m]
+    fast = root_product(field, exponents)
+    assert fast.coeffs == root_product(scalar(field), exponents).coeffs
+    assert plain_ints(fast)
+    assert len(fast.coeffs) == len(exponents) + 1 and fast.lead == 1
+
+
+@st.composite
+def solve_cases(draw):
+    """(m, modulus, known, stop) with non-monic moduli and zero terms."""
+    m = draw(st.sampled_from(BYTE_M))
+    size = draw(st.integers(2, 130))
+    modulus = draw(rows(m, max_len=size - 1))
+    modulus += [0] * (size - 1 - len(modulus))
+    modulus.append(draw(st.integers(1, (1 << m) - 1)))
+    known = draw(rows(m, max_len=size - 1))
+    stop = draw(st.integers(1, size - 1))
+    return m, modulus, known, stop
+
+
+@DIFF
+@given(solve_cases())
+@example((8, [1] + [0] * 254 + [1], list(range(1, 256)), 128))  # rs255-lo
+@example((8, [1] + [0] * 254 + [1], [], 16))                     # zero known
+@example((3, [1, 0, 0, 0, 0, 0, 0, 1], [0, 0, 5], 1))
+def test_solve_matches_counted(case):
+    m, modulus, known, stop = case
+    solutions = [solve_key_equation(KeyEquationProblem(
+        modulus=Poly(field, modulus), known=Poly(field, known),
+        stop_degree=stop)) for field in (FIELDS[m], scalar(FIELDS[m]))]
+    fast, ref = solutions
+    assert fast.locator.coeffs == ref.locator.coeffs
+    assert fast.combination.coeffs == ref.combination.coeffs
+    assert fast.iterations == ref.iterations
+    assert plain_ints(fast.locator, fast.combination)
+
+
+@pytest.mark.parametrize("length", [0, 1, 127, 223, 255])
+def test_n255_transforms_match_counted(length):
+    rng = random.Random(length)
+    coeffs = [rng.choice([0, 1, rng.randrange(256)]) for _ in range(length)]
+    if coeffs:
+        coeffs[-1] = rng.randrange(1, 256)
+    values = evaluate_all(Poly(GF256, coeffs), 255)
+    assert values == evaluate_all(Poly(scalar(GF256), coeffs), 255)
+    assert len(values) == 255 and all(type(v) is int for v in values)
+    # interpolate_all is the same transform read backwards; coefficient
+    # vectors of every length are value vectors once zero-filled
+    vector = coeffs + [0] * (255 - length)
+    fast = interpolate_all(GF256, vector)
+    assert fast.coeffs == interpolate_all(scalar(GF256), vector).coeffs
+    assert plain_ints(fast)
+    assert interpolate_all(GF256, values).coeffs == tuple(coeffs)
+
+
+@pytest.mark.parametrize("count", [1, 16, 64, 128])
+def test_n255_row_sum_matches_counted(count):
+    # out[i] = sum over r of values[r] * alpha^(i * js[r]), counted per term
+    rng = random.Random(count)
+    js = rng.sample(range(255), count)
+    values = [rng.choice([0, 1, rng.randrange(256)]) for _ in js]
+    fast = spectral._row_sum(GF256, js, values)
+    counted = scalar(GF256)
+    ref = [0] * 255
+    for j, value in zip(js, values):
+        for i in range(255):
+            ref[i] ^= counted.mul(value, counted.alpha_pow(i * j))
+    assert list(fast) == ref
+    assert all(type(v) is int for v in fast)

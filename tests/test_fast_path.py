@@ -1,13 +1,14 @@
 """The table-driven fast paths against the scalar reference.
 
-A plain Field takes the row kernels for products and divisions, inline
-below ROW_KERNEL_MIN_LEN coefficients and numpy rows from it, also in the
-key-equation solve, Poly's inline evaluation and scaling, the inline
-erasure-locator product, the prime-factor transform, the closed-form
-cyclotomic quotient and the subset interpolation as a transform plus a
-reduction; a CountingField over the same field takes the scalar loops
-that route every product through field.mul.  Both must give
-bit-identical results, as plain ints.
+A plain Field takes the row kernels for products and divisions, also in
+the key-equation solve, Poly's scaling and evaluation, the erasure-locator
+product, the prime-factor transform, the closed-form cyclotomic quotient
+and the subset interpolation as a transform plus a reduction.  Up to
+BYTE_MAX_M = 8 the rows are bytes (tests/test_byte_kernels.py covers those
+kernels in depth); from m = 9 on they are inline loops below
+ROW_KERNEL_MIN_LEN coefficients and numpy rows from it.  A CountingField
+over the same field takes the scalar loops that route every product
+through field.mul.  Both must give bit-identical results, as plain ints.
 
 Every m from 3 to 16 is covered.  Up to COUNTED_MAX_M the fast results
 are compared with the CountingField's.  Above it a counted transform
@@ -35,7 +36,7 @@ from rscodec import (DECODERS, CodeParams, Field, KeyEquationProblem, Poly,
                      interpolate_subset, solve_key_equation)
 from rscodec import polynomial, spectral
 from rscodec.galois import MAX_M, MIN_M
-from rscodec.polynomial import ROW_KERNEL_MIN_LEN, xn_minus_one
+from rscodec.polynomial import BYTE_MAX_M, ROW_KERNEL_MIN_LEN, xn_minus_one
 from rscodec.spectral import CHUNK_ENTRIES, PRIME_FACTOR_MIN_N
 from rscodec.workbench import CountingField, OpCounter
 
@@ -147,8 +148,9 @@ def test_kernels_at_the_row_length_match_scalar(case):
 
 @pytest.mark.parametrize("m, lengths", [(8, (255, 65)), (12, (4095, 17))])
 def test_long_products_match_scalar(m, lengths):
-    # truong's R * L at full length: the longer factor takes one numpy row
-    # per term of the shorter, in either operand order
+    # truong's R * L at full length: the longer factor takes one row per
+    # term of the shorter, bytes at m = 8 and numpy at m = 12, in either
+    # operand order
     rng = random.Random(m)
     coeffs = [[rng.randrange(1 << m) if rng.random() < 0.8 else 0
                for _ in range(size - 1)] + [rng.randrange(1, 1 << m)]
@@ -285,8 +287,9 @@ def test_packed_table_size():
 
 
 def test_no_plan_below_the_prime_factor_length(monkeypatch):
-    # below n = 255 every transform, quotient and subset interpolation
-    # reads the packed table; the spy sees m = 8's plan only
+    # up to m = 8 every transform, quotient and subset interpolation reads
+    # the packed tables, one-stage below n = 255 and the byte plan at 255;
+    # numpy's prime-factor plan serves m >= 9 only
     built = []
     plan = spectral._plan
 
@@ -307,10 +310,31 @@ def test_no_plan_below_the_prime_factor_length(monkeypatch):
         locator = erasure_locator(params, range(1, n, 3))
         cyclotomic_quotient(locator, n)
         interpolate_all(field, codeword)
-    assert set(built) == {255}
+    assert built == []
+
+
+def test_byte_plan_size():
+    # every table an n = 255 field's kernels and transforms read: the byte
+    # tables and the packed prime-factor plan; a one-stage packed table at
+    # n = 255 would hold about 17 MB
+    field = Field(8, OTHER_PRIM_POLYS[8])
+    tables, plan = polynomial.byte_tables(field), spectral._byte_plan(field)
+    seen = set()
+
+    def size(obj):
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        total = sys.getsizeof(obj)
+        if isinstance(obj, tuple):
+            total += sum(map(size, obj))
+        return total
+
+    assert size(tables) + size(plan) < 1_000_000
 
 
 NUMPY_FREE = r"""
+import random
 import sys
 from pathlib import Path
 
@@ -319,33 +343,53 @@ from rscodec import (DECODERS, CodeParams, Field, ReceivedWord,
                      decode_errors_only, encode, spectral)
 from rscodec.workbench.cli import main
 
-for m, k in ((3, 3), (4, 7)):
+rng = random.Random(8)
+for m, k in ((3, 3), (4, 7), (8, 223), (8, 127)):
     params = CodeParams(Field(m), k)
-    message = tuple(range(1, k + 1))
+    t = (params.d - 1) // 4  # errors, and twice as many erasures
+    message = tuple(rng.randrange(params.field.order) for _ in range(k))
     codeword = encode(params, message)
     symbols = list(codeword)
-    symbols[5] ^= 1
-    received = ReceivedWord(symbols, (0, 1))
+    positions = rng.sample(range(params.n), 3 * t)
+    for pos in positions[:t]:
+        symbols[pos] ^= rng.randrange(1, params.field.order)
+    received = ReceivedWord(symbols, positions[t:])
     for decoder in DECODERS.values():
         assert decoder(params, received).message == message
-    assert decode_errors_only(params, codeword).message == message
+    errors = list(codeword)
+    for pos in positions[:(params.d - 1) // 2]:
+        errors[pos] ^= 1
+    assert decode_errors_only(params, errors).message == message
+
+
+def cli(*args):
+    assert main([str(arg) for arg in args]) == 0
+
+
 work = Path(sys.argv[1])
-(work / "messages.txt").write_text("1 2 3 4 5 6 7\n15 0 0 0 0 0 9\n")
-assert main(["encode", "--m", "4", "--k", "7", "--in", str(work / "messages.txt"),
-             "--out", str(work / "blocks.txt")]) == 0
-for algorithm in (*DECODERS, "errors-only"):
-    assert main(["decode", "--algorithm", algorithm, "--in",
-                 str(work / "blocks.txt"), "--out", str(work / "out.txt")]) == 0
-    assert (work / "out.txt").read_text() == (work / "messages.txt").read_text()
-assert "numpy" not in sys.modules, "a field with m <= 4 imported numpy"
-CodeParams(Field(8), 223)
-assert "numpy" in sys.modules, "CodeParams at m = 8 left numpy to the encode"
+messages, blocks, noisy, out = (work / name for name in (
+    "messages.txt", "blocks.txt", "noisy.txt", "out.txt"))
+for m, k, t, l in ((4, 7, 2, 4), (8, 223, 8, 16), (8, 127, 32, 64)):
+    messages.write_text("".join(
+        " ".join(str(rng.randrange(1 << m)) for _ in range(k)) + "\n"
+        for _ in range(2)))
+    cli("encode", "--m", m, "--k", k, "--in", messages, "--out", blocks)
+    cli("corrupt", "--t", t, "--l", l, "--seed", 1, "--in", blocks,
+        "--out", noisy)
+    for algorithm in (*DECODERS, "errors-only"):
+        source = blocks if algorithm == "errors-only" else noisy
+        cli("decode", "--algorithm", algorithm, "--in", source, "--out", out)
+        assert out.read_text() == messages.read_text()
+assert "numpy" not in sys.modules, "a field with m <= 8 imported numpy"
+assert spectral._plan.cache_info().currsize == 0
+CodeParams(Field(9), 479)
+assert "numpy" in sys.modules, "CodeParams at m = 9 left numpy to the encode"
 assert spectral._plan.cache_info().currsize == 1
 """
 
 
 def test_small_fields_never_import_numpy(tmp_path):
-    # a fresh interpreter, since this one has numpy loaded; at m = 8 the
+    # a fresh interpreter, since this one has numpy loaded; at m = 9 the
     # import and the plan belong to CodeParams, not to the first encode
     source = Path(spectral.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(source))
@@ -474,9 +518,10 @@ def test_quotient_dispatch(monkeypatch):
 
 
 def test_row_kernel_dispatch_follows_divisor_length(monkeypatch):
-    # only a numpy row fetches the row tables: a division's from a divisor
-    # of ROW_KERNEL_MIN_LEN coefficients, a product's from a longer factor
-    # of that length, in either operand order, and a CountingField's never
+    # only a numpy row fetches the row tables: from m = 9 on, a division's
+    # from a divisor of ROW_KERNEL_MIN_LEN coefficients, a product's from a
+    # longer factor of that length, in either operand order; a
+    # CountingField's never, and up to m = 8, where rows are bytes, never
     fetched = []
     row_tables = polynomial.row_tables
 
@@ -486,8 +531,9 @@ def test_row_kernel_dispatch_follows_divisor_length(monkeypatch):
 
     monkeypatch.setattr(polynomial, "row_tables", spy)
     rows = []
-    for field in (FIELDS[8], scalar(FIELDS[8])):
-        short = Poly(field, [5, 0, 9])
+    for field in (FIELDS[9], scalar(FIELDS[9]), *(FIELDS[m] for m in range(
+            MIN_M, BYTE_MAX_M + 1))):
+        short = Poly(field, [5, 0, 6])
         for length in (ROW_KERNEL_MIN_LEN - 1, ROW_KERNEL_MIN_LEN):
             long = Poly(field, [3] * length)
             for name, run in (
@@ -506,19 +552,21 @@ def test_row_kernel_dispatch_follows_divisor_length(monkeypatch):
 def test_equal_fields_share_one_cache_entry():
     # Field's hash is computed once; an equal field and a CountingField over
     # it hash alike, so every per-field cache serves them from one entry
-    field = Field(6, OTHER_PRIM_POLYS[6])
-    twin = Field(6, OTHER_PRIM_POLYS[6])
-    counted = scalar(twin)
-    assert hash(field) == hash(twin) == hash(counted)
-    assert hash(field) != hash(FIELDS[6])
-    tables, packed = polynomial.row_tables(field), spectral._packed(field)
-    before = (polynomial.row_tables.cache_info().currsize,
-              spectral._packed.cache_info().currsize)
-    for other in (twin, counted):
-        assert polynomial.row_tables(other) is tables
-        assert spectral._packed(other) is packed
-    assert (polynomial.row_tables.cache_info().currsize,
-            spectral._packed.cache_info().currsize) == before
+    caches = {6: (polynomial.row_tables, polynomial.byte_tables,
+                  spectral._packed),
+              8: (polynomial.byte_tables, spectral._byte_plan)}
+    for m, cached in caches.items():
+        field = Field(m, OTHER_PRIM_POLYS[m])
+        twin = Field(m, OTHER_PRIM_POLYS[m])
+        counted = scalar(twin)
+        assert hash(field) == hash(twin) == hash(counted)
+        assert hash(field) != hash(FIELDS[m])
+        tables = [table(field) for table in cached]
+        before = [table.cache_info().currsize for table in cached]
+        for other in (twin, counted):
+            assert all(table(other) is built
+                       for table, built in zip(cached, tables))
+        assert [table.cache_info().currsize for table in cached] == before
 
 
 def test_key_equation_stage_results_are_plain_ints():

@@ -122,8 +122,9 @@ XN_MINUS_ONE = [1] + [0] * (GF256.n - 1) + [1]
 @st.composite
 def long_problems(draw):
     """(modulus, known, stop_degree) coefficient lists, the modulus monic
-    with 2 to 81 coefficients: a plain Field keeps its rows as lists below
-    ROW_KERNEL_MIN_LEN coefficients and as numpy arrays from it."""
+    with 2 to 81 coefficients, on both sides of ROW_KERNEL_MIN_LEN, where
+    the rows of a field with m >= 9 change form; at m = 8 a plain Field
+    keeps its rows as bytes at every length."""
     degree = draw(st.one_of(st.integers(1, ROW_KERNEL_MIN_LEN - 1),
                             st.integers(ROW_KERNEL_MIN_LEN - 1, 80)))
     modulus = draw(st.lists(SYMBOLS, min_size=degree, max_size=degree)) + [1]
