@@ -12,23 +12,20 @@ a threshold chosen by the caller; that remainder is P and its cofactor
 against known is W.  Only the remainders and the known-side cofactors are
 tracked, which is all the congruence needs.
 
-solve has two paths with the same steps and bit-identical results.  On a
-plain Field it runs the recurrence on coefficient rows in the kernels'
-working form (bytes up to m = 8; from m = 9 on lists below
-ROW_KERNEL_MIN_LEN coefficients and intp arrays from it), and leaves all
-arithmetic to polynomial's row kernels: each division is one divide_rows
-call, and each cofactor update and the final monic scaling one
-multiply_rows call.  Any other field context, such as the workbench's
-CountingField, takes the reference loop over Poly divmod and
-multiplication, so every product goes through field.mul and is counted.
+solve runs the recurrence on coefficient rows and leaves all arithmetic to
+polynomial's row kernels: each division is one divide_rows call, and
+each cofactor update one multiply_rows call, as is each half of the
+final scaling, made only when the last cofactor is not already monic.
+The kernels choose their arithmetic from the field, so a plain Field
+takes the table-driven rows and a CountingField the scalar loops, in
+which every product goes through field.mul and is counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .galois import Field
-from .polynomial import Poly, as_row, divide_rows, multiply_rows
+from .polynomial import Poly, divide_rows, multiply_rows
 
 
 @dataclass(frozen=True)
@@ -73,37 +70,7 @@ def solve(problem: KeyEquationProblem) -> KeyEquationSolution:
     degree(combination) < stop_degree.
     """
     field = problem.modulus.field
-    if type(field) is Field:
-        return _solve_rows(problem)
-    r_prev, r_cur = problem.modulus, problem.known
-    v_prev, v_cur = Poly.zero(field), Poly.one(field)
-    stop = problem.stop_degree
-
-    iterations = 0
-    while r_cur.degree >= stop:
-        quot, r_next = divmod(r_prev, r_cur)
-        r_prev, r_cur = r_cur, r_next
-        v_prev, v_cur = v_cur, v_prev + quot * v_cur
-        iterations += 1
-
-    lead = v_cur.lead
-    if lead != 1:
-        factor = field.inv(lead)
-        v_cur = v_cur.scale(factor)
-        r_cur = r_cur.scale(factor)
-    return KeyEquationSolution(locator=v_cur, combination=r_cur,
-                               iterations=iterations)
-
-
-def _solve_rows(problem: KeyEquationProblem) -> KeyEquationSolution:
-    """solve on a plain Field, on coefficient rows through the row kernels.
-
-    Same steps, same results and same iteration count as the reference
-    loop.
-    """
-    field = problem.modulus.field
-    r_prev = as_row(field, problem.modulus.coeffs)
-    r_cur = as_row(field, problem.known.coeffs)
+    r_prev, r_cur = problem.modulus.coeffs, problem.known.coeffs
     v_prev, v_cur = [], [1]
     stop = problem.stop_degree
 
@@ -115,9 +82,10 @@ def _solve_rows(problem: KeyEquationProblem) -> KeyEquationSolution:
         v_prev, v_cur = v_cur, multiply_rows(field, quot, v_cur, v_prev)
         iterations += 1
 
-    # scale so the locator is monic
-    factor = [field.inv(v_cur[-1])]
-    return KeyEquationSolution(
-        locator=Poly._make(field, multiply_rows(field, factor, v_cur)),
-        combination=Poly._make(field, multiply_rows(field, factor, r_cur)),
-        iterations=iterations)
+    if v_cur[-1] != 1:  # scale so the locator is monic
+        factor = (field.inv(v_cur[-1]),)
+        v_cur = multiply_rows(field, factor, v_cur)
+        r_cur = multiply_rows(field, factor, r_cur)
+    return KeyEquationSolution(locator=Poly._make(field, v_cur),
+                               combination=Poly._make(field, r_cur),
+                               iterations=iterations)

@@ -5,23 +5,25 @@ stored coefficient is nonzero, and the zero polynomial stores nothing at
 all.  Its degree is the MINUS_INF sentinel rather than any integer, so a
 degree comparison can never confuse the zero polynomial with a constant.
 
-On a plain Field, multiplication and division go through two row
-kernels, multiply_rows and divide_rows, which the key-equation solver
-shares; each row is one operand scaled by one term of the other.  Up to
-BYTE_MAX_M = 8 every element fits in a byte, so a row is a bytes object
-with one coefficient per byte: scaling is one bytes.translate through a
-256-byte table of byte_tables, and adding rows is one XOR of the rows
-read as ints.  Scaling and root_product use the same tables, and numpy
-is never imported.  From m = 9 on each kernel takes its path from one
-operand's length, the longer factor of a product or the divisor of a
-division.  Below ROW_KERNEL_MIN_LEN coefficients it loops inline over
-the log/antilog tables and skips zero terms; from it each row is a
-single numpy gather-and-XOR, numpy imported on the first such row.
-Evaluation, and from m = 9 on scaling and root_product, index the tables
-inline.  A Field subclass, such as the workbench's CountingField, takes
-the reference loops, which route every product through field.mul and
-every inversion through field.inv so that the subclass sees them all.
-All paths give bit-identical results, as plain ints.
+Every product and division goes through one of two row kernels,
+multiply_rows and divide_rows, which the key-equation solver shares and
+Poly's product, division and scaling call once each; a row is one
+operand scaled by one term of the other.  Each kernel alone chooses its
+arithmetic from the field.  A Field subclass, such as the workbench's
+CountingField, takes scalar loops that route every product through
+field.mul and every inversion through field.inv, so the subclass sees
+them all.  On a plain Field up to BYTE_MAX_M = 8 every element fits in a
+byte, so a row is a bytes object with one coefficient per byte: scaling
+is one bytes.translate through a 256-byte table of byte_tables, and
+adding rows is one XOR of the rows read as ints, and numpy is never
+imported.  From m = 9 on each kernel takes its path from one operand's
+length, the longer factor of a product or the divisor of a division.
+Below ROW_KERNEL_MIN_LEN coefficients it loops inline over the
+log/antilog tables and skips zero terms; from it each row is a single
+numpy gather-and-XOR, numpy imported on the first such row.  Evaluation
+and root_product keep their own loops, scalar on a subclass and over the
+tables on a plain Field.  All paths give bit-identical results, as plain
+ints.
 """
 
 from __future__ import annotations
@@ -102,36 +104,30 @@ def row_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return exp, log
 
 
-def as_row(field: Field, coeffs: Row) -> Row:
-    """coeffs in the row kernels' working form: bytes up to BYTE_MAX_M;
-    from m = 9 on a list below ROW_KERNEL_MIN_LEN coefficients and an intp
-    array from it.  A row already in that form passes through."""
-    if field.m <= BYTE_MAX_M:
-        return bytes(coeffs)
-    if not isinstance(coeffs, (list, tuple)):
-        return coeffs
-    if len(coeffs) < ROW_KERNEL_MIN_LEN:
-        return list(coeffs)
-    import numpy as np
-
-    return np.fromiter(coeffs, np.intp, len(coeffs))
-
-
 def multiply_rows(field: Field, a: Row, b: Row, add: Row = ()) -> Row:
-    """a * b + add over a plain Field.
+    """a * b + add.
 
     a and b are coefficient rows, lists, tuples, bytes or intp arrays of
-    plain elements, and add is no longer than the product.  Each nonzero
-    term of the shorter factor adds one row, the longer factor scaled by
-    that term.  Up to BYTE_MAX_M a row is one translate and one int XOR,
-    and the result is bytes.  From m = 9 on, below ROW_KERNEL_MIN_LEN
-    coefficients in the longer factor the product is an inline loop over
-    both factors' nonzero terms and the result a list; from it a row is
-    one numpy gather and the result an intp array.
+    elements, and add is no longer than the product.  Each term of the
+    shorter factor adds one row, the longer factor scaled by that term.
+    On a Field subclass every term does, zero terms included, each of its
+    products goes through field.mul, and the result is a list.  On a plain
+    Field only the nonzero terms do.  Up to BYTE_MAX_M a row is one
+    translate and one int XOR, and the result is bytes.  From m = 9 on,
+    below ROW_KERNEL_MIN_LEN coefficients in the longer factor the product
+    is an inline loop over both factors' nonzero terms and the result a
+    list; from it a row is one numpy gather and the result an intp array.
     """
     if len(a) < len(b):
         a, b = b, a
     size = len(a) + len(b) - 1
+    if type(field) is not Field:
+        fmul = field.mul
+        out = [*add] + [0] * (size - len(add))
+        for j, c in enumerate(b):
+            for i, d in enumerate(a, j):
+                out[i] ^= fmul(c, d)
+        return out
     if field.m <= BYTE_MAX_M:
         mul, a = byte_tables(field).mul, bytes(a)
         acc = int.from_bytes(bytes(add), "little")
@@ -155,7 +151,7 @@ def multiply_rows(field: Field, a: Row, b: Row, add: Row = ()) -> Row:
     exp_rows, log_rows = row_tables(field)
     out = np.zeros(size, dtype=np.intp)
     out[:len(add)] = add
-    a_logs = log_rows[as_row(field, a)]
+    a_logs = log_rows[np.asarray(a, dtype=np.intp)]
     for j, c in enumerate(b):
         if c:
             out[j:j + len(a)] ^= exp_rows[log[c]:][a_logs]
@@ -163,21 +159,35 @@ def multiply_rows(field: Field, a: Row, b: Row, add: Row = ()) -> Row:
 
 
 def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
-    """Quotient and remainder of num by den over a plain Field.
+    """Quotient and remainder of num by den.
 
     num and den are coefficient rows as in multiply_rows, num at least as
     long as den and den with a nonzero lead.  Returns the quotient and the
-    remainder without trailing zeros.  Up to BYTE_MAX_M both are bytes:
-    the remainder is one int, num with its lead in the low byte, and each
-    step clears that byte with one translate of the divisor, one XOR and
-    one shift.  From m = 9 on the quotient is a list; below
-    ROW_KERNEL_MIN_LEN coefficients in the divisor each row is an inline
-    loop over its nonzero terms and the remainder a list, and from it each
-    row is one numpy gather-and-XOR and the remainder an intp array, a
-    view of num when num is one, since num is then reduced in place.
+    remainder without trailing zeros.  On a Field subclass both are lists;
+    field.inv runs once when the divisor is not monic and never when it
+    is, and each quotient term takes one field.mul by that inverse, if
+    any, and one per divisor coefficient below the lead, zero terms
+    included.  On a plain Field up to BYTE_MAX_M both are bytes: the
+    remainder is one int, num with its lead in the low byte, and each step
+    clears that byte with one translate of the divisor, one XOR and one
+    shift.  From m = 9 on the quotient is a list; below ROW_KERNEL_MIN_LEN
+    coefficients in the divisor each row is an inline loop over its
+    nonzero terms and the remainder a list, and from it each row is one
+    numpy gather-and-XOR and the remainder an intp array, a view of num
+    when num is one, since num is then reduced in place.
     """
     dd = len(den) - 1
-    if field.m <= BYTE_MAX_M:
+    if type(field) is not Field:
+        fmul = field.mul
+        inv_lead = None if den[dd] == 1 else field.inv(den[dd])
+        rem, quot = list(num), [0] * (len(num) - dd)
+        for shift in range(len(quot) - 1, -1, -1):
+            cur = rem[shift + dd]
+            factor = cur if inv_lead is None else fmul(cur, inv_lead)
+            quot[shift] = factor
+            for j in range(dd):
+                rem[shift + j] ^= fmul(factor, den[j])
+    elif field.m <= BYTE_MAX_M:
         mul = byte_tables(field).mul
         inv_lead = field.inv(den[dd])
         # the divisor below its lead, monic and reversed to match rem
@@ -192,29 +202,33 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
                 rem ^= int.from_bytes(tail.translate(mul[top]), "little")
         return (bytes(tops)[::-1].translate(mul[inv_lead]),
                 rem.to_bytes(dd, "big").rstrip(b"\0"))
-    exp, log, n = field._exp, field._log, field.n
-    # log of 1/lead, so log(cur / lead) = log(cur) + inv_lead_log
-    inv_lead_log = n - log[den[dd]]
-    quot = [0] * (len(num) - dd)
-    rows = len(den) >= ROW_KERNEL_MIN_LEN
-    if rows:
-        exp_rows, log_rows = row_tables(field)
-        rem, den_logs = as_row(field, num), log_rows[as_row(field, den)]
-    else:  # an array num is a Euclid remainder from before the rows ended
-        rem = list(num) if isinstance(num, (list, tuple)) else num.tolist()
-        den_logs = [(j, log[c]) for j, c in enumerate(den[:dd]) if c]
-    for shift in range(len(quot) - 1, -1, -1):
-        cur = rem[shift + dd]
-        if cur:
-            lf = log[cur] + inv_lead_log
-            if lf >= n:
-                lf -= n
-            quot[shift] = exp[lf]
-            if rows:  # the divisor's lead clears rem[shift + dd] here too
-                rem[shift:shift + dd + 1] ^= exp_rows[lf:][den_logs]
-            else:
-                for j, ld in den_logs:
-                    rem[shift + j] ^= exp[lf + ld]
+    else:
+        exp, log, n = field._exp, field._log, field.n
+        # log of 1/lead, so log(cur / lead) = log(cur) + inv_lead_log
+        inv_lead_log = n - log[den[dd]]
+        quot = [0] * (len(num) - dd)
+        rows = len(den) >= ROW_KERNEL_MIN_LEN
+        if rows:
+            import numpy as np
+
+            exp_rows, log_rows = row_tables(field)
+            rem = np.asarray(num, dtype=np.intp)
+            den_logs = log_rows[np.asarray(den, dtype=np.intp)]
+        else:  # an array num is a Euclid remainder from before the rows ended
+            rem = list(num) if isinstance(num, (list, tuple)) else num.tolist()
+            den_logs = [(j, log[c]) for j, c in enumerate(den[:dd]) if c]
+        for shift in range(len(quot) - 1, -1, -1):
+            cur = rem[shift + dd]
+            if cur:
+                lf = log[cur] + inv_lead_log
+                if lf >= n:
+                    lf -= n
+                quot[shift] = exp[lf]
+                if rows:  # the divisor's lead clears rem[shift + dd] too
+                    rem[shift:shift + dd + 1] ^= exp_rows[lf:][den_logs]
+                else:
+                    for j, ld in den_logs:
+                        rem[shift + j] ^= exp[lf + ld]
     while dd and not rem[dd - 1]:
         dd -= 1
     return quot, rem[:dd]
@@ -237,14 +251,16 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def _make(cls, field: Field, coeffs: list[int] | bytes | np.ndarray
-              ) -> Poly:
+    def _make(cls, field: Field, coeffs: Row) -> Poly:
         # internal fast path: coefficients already known to be valid
-        # elements, as a list or as a row kernel's bytes or intp array
+        # elements, as a list or tuple or as a row kernel's bytes or intp
+        # array
         if type(coeffs) is bytes:
             coeffs = coeffs.rstrip(b"\0")
         else:
-            if type(coeffs) is not list:
+            if type(coeffs) is tuple:
+                coeffs = list(coeffs)
+            elif type(coeffs) is not list:
                 coeffs = coeffs.tolist()
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
@@ -301,15 +317,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly._make(self.field, [])
-        f = self.field
-        if type(f) is Field:
-            return Poly._make(f, multiply_rows(f, a, b))
-        out = [0] * (len(a) + len(b) - 1)
-        fmul = f.mul
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] ^= fmul(ai, bj)
-        return Poly._make(f, out)
+        return Poly._make(self.field, multiply_rows(self.field, a, b))
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Quotient and remainder; degree(remainder) < degree(other)."""
@@ -318,27 +326,11 @@ class Poly:
         self._compat(other)
         if other.is_zero:
             raise ValueError("polynomial division by zero")
-        dn = len(self.coeffs) - 1
-        dd = len(other.coeffs) - 1
-        if self.is_zero or dn < dd:
-            return Poly._make(self.field, []), self
-        f = self.field
-        if type(f) is Field:
-            quot, rem = divide_rows(f, self.coeffs, other.coeffs)
-            return Poly._make(f, quot), Poly._make(f, rem)
-        den = other.coeffs
-        rem = list(self.coeffs)
-        quot = [0] * (dn - dd + 1)
-        fmul = f.mul
-        inv_lead = None if den[-1] == 1 else f.inv(den[-1])
-        for shift in range(dn - dd, -1, -1):
-            cur = rem[shift + dd]
-            factor = cur if inv_lead is None else fmul(cur, inv_lead)
-            quot[shift] = factor
-            for j in range(dd):
-                rem[shift + j] ^= fmul(factor, den[j])
-            rem[shift + dd] = 0
-        return Poly._make(f, quot), Poly._make(f, rem[:dd])
+        f, num, den = self.field, self.coeffs, other.coeffs
+        if len(num) < len(den):  # self is zero or of lower degree
+            return Poly._make(f, []), self
+        quot, rem = divide_rows(f, num, den)
+        return Poly._make(f, quot), Poly._make(f, rem)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -347,24 +339,15 @@ class Poly:
         return divmod(self, other)[1]
 
     def scale(self, c: int) -> Poly:
-        """Product with the scalar c."""
+        """Product with the scalar c, an element of the field."""
         f = self.field
-        if type(f) is Field:
-            if f.m <= BYTE_MAX_M:
-                return Poly._make(f, bytes(self.coeffs).translate(
-                    byte_tables(f).mul[c]))
-            if not c:
-                return Poly._make(f, [])
-            exp, log = f._exp, f._log
-            lc = log[c]
-            return Poly._make(f, [exp[lc + log[a]] if a else 0
-                                  for a in self.coeffs])
-        fmul = f.mul
-        return Poly._make(f, [fmul(c, a) for a in self.coeffs])
+        return Poly._make(f, multiply_rows(f, self.coeffs,
+                                           (f.check_element(c),)))
 
     def evaluate(self, at: int) -> int:
-        """Value of the polynomial at a point, by Horner's rule."""
+        """Value of the polynomial at the element at, by Horner's rule."""
         f = self.field
+        f.check_element(at)
         acc = 0
         if type(f) is Field:
             if not at:

@@ -3,8 +3,9 @@
 CountingField is a Field that tallies every multiplication and
 inversion in an OpCounter; additions are single XORs and go uncounted.
 The table-driven kernels run on a plain Field only, so a CountingField
-takes the reference loops, which do a fixed amount of work per operand
-degree: two runs over the same input always produce the same counts.
+takes the scalar loops of the row kernels and transforms, which do a fixed
+amount of work per operand degree: two runs over the same input always
+produce the same counts.
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
 """The table-driven fast paths against the scalar reference.
 
-A plain Field takes the row kernels for products and divisions, also in
-the key-equation solve, Poly's scaling and evaluation, the erasure-locator
-product, the prime-factor transform, the closed-form cyclotomic quotient
-and the subset interpolation as a transform plus a reduction.  Up to
-BYTE_MAX_M = 8 the rows are bytes (tests/test_byte_kernels.py covers those
-kernels in depth); from m = 9 on they are inline loops below
-ROW_KERNEL_MIN_LEN coefficients and numpy rows from it.  A CountingField
-over the same field takes the scalar loops that route every product
-through field.mul.  Both must give bit-identical results, as plain ints.
+Every product and division, Poly's scaling and each step of the one
+key-equation solve go through the two row kernels, multiply_rows and
+divide_rows, which choose their arithmetic from the field.  On a plain
+Field they run table-driven rows: up to BYTE_MAX_M = 8 the rows are bytes
+(tests/test_byte_kernels.py covers those kernels in depth), and from
+m = 9 on they are inline loops below ROW_KERNEL_MIN_LEN coefficients and
+numpy rows from it.  A plain Field also takes table-driven evaluation,
+the erasure-locator product, the prime-factor transform, the closed-form
+cyclotomic quotient and the subset interpolation as a transform plus a
+reduction.  A CountingField over the same field takes the kernels' scalar
+loops and the scalar transforms, which route every product through
+field.mul.  Both must give bit-identical results, as plain ints.
 
 Every m from 3 to 16 is covered.  Up to COUNTED_MAX_M the fast results
 are compared with the CountingField's.  Above it a counted transform

@@ -123,8 +123,9 @@ XN_MINUS_ONE = [1] + [0] * (GF256.n - 1) + [1]
 def long_problems(draw):
     """(modulus, known, stop_degree) coefficient lists, the modulus monic
     with 2 to 81 coefficients, on both sides of ROW_KERNEL_MIN_LEN, where
-    the rows of a field with m >= 9 change form; at m = 8 a plain Field
-    keeps its rows as bytes at every length."""
+    the rows of a plain field with m >= 9 change form.  At m = 8 the one
+    solve runs on the kernels' byte rows for a plain Field and on their
+    scalar loops for a CountingField, at every length."""
     degree = draw(st.one_of(st.integers(1, ROW_KERNEL_MIN_LEN - 1),
                             st.integers(ROW_KERNEL_MIN_LEN - 1, 80)))
     modulus = draw(st.lists(SYMBOLS, min_size=degree, max_size=degree)) + [1]

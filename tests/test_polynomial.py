@@ -6,6 +6,7 @@ import pytest
 
 from bruteforce import slow_divmod, slow_eval, slow_poly_mul, trim
 from rscodec import MINUS_INF, Field, Poly, xn_minus_one
+from rscodec.workbench import CountingField, OpCounter
 
 
 def rand_poly(rng, field, max_len):
@@ -154,6 +155,20 @@ def test_scale(gf8):
     assert p.scale(0).is_zero
     doubled = p.scale(2)
     assert doubled == Poly(gf8, [gf8.mul(2, c) for c in p.coeffs])
+
+
+@pytest.mark.parametrize("field", [
+    Field(3), Field(9), CountingField(Field(3), OpCounter())],
+    ids=["m3", "m9", "counted-m3"])
+@pytest.mark.parametrize("bad", [-1, "order", True, "3"])
+def test_scale_and_evaluate_check_their_argument(field, bad):
+    # -1 would index the tables from the end and True pass as 1
+    value = field.order if bad == "order" else bad
+    p = Poly(field, [1, 2, 3])
+    with pytest.raises(ValueError):
+        p.scale(value)
+    with pytest.raises(ValueError):
+        p.evaluate(value)
 
 
 def test_xn_minus_one(gf8):

@@ -11,11 +11,13 @@ from rscodec import (
     DECODERS,
     CodeParams,
     Field,
+    KeyEquationProblem,
     Poly,
     ReceivedWord,
     decode_suggested,
     decode_truong,
     encode,
+    solve_key_equation,
 )
 from rscodec.workbench import (
     ChannelSpec,
@@ -200,6 +202,39 @@ def test_counting_field_drives_polynomials(gf8):
     assert counter.total_mults == before  # addition is free
 
 
+def test_counted_kernels_count_exactly(gf8):
+    # the counts of the scalar loops that bench's totals are made of
+    def counts(fn, *coeff_lists):
+        counter = OpCounter()
+        field = CountingField(gf8, counter)
+        result = fn(*(Poly(field, c) for c in coeff_lists))
+        return counter.total_mults, counter.total_invs, result
+
+    rng = random.Random(20)
+    for _ in range(20):
+        dd = rng.randrange(1, 8)
+        dn = rng.randrange(dd, 16)
+        num = [rng.randrange(8) for _ in range(dn)] + [rng.randrange(1, 8)]
+        body = [rng.randrange(8) for _ in range(dd)]
+        monic, not_monic = body + [1], body + [rng.randrange(2, 8)]
+        steps = dn - dd + 1
+        assert counts(divmod, num, not_monic)[:2] == (steps * (dd + 1), 1)
+        assert counts(divmod, num, monic)[:2] == (steps * dd, 0)
+        assert counts(lambda p: p.scale(0), num)[:2] == (dn + 1, 0)
+
+    def one_step(modulus, known):
+        return solve_key_equation(KeyEquationProblem(modulus, known, 1))
+
+    # x^2 = (x + 3)(x + 3) + 5: the divisor and the last cofactor are
+    # monic, so nothing is inverted
+    mults, invs, solution = counts(one_step, [0, 0, 1], [3, 1])
+    assert (mults, invs, solution.iterations) == (4, 0, 1)
+    assert solution.locator.coeffs == (3, 1)
+    # with known = 2x + 3 the division and the final scaling each invert
+    _, invs, solution = counts(one_step, [0, 0, 1], [3, 2])
+    assert invs == 2 and solution.locator.lead == 1
+
+
 def test_counting_polys_mix_with_plain_ones(gf8):
     counted = CountingField(gf8, OpCounter())
     assert Poly(counted, [1, 2]) == Poly(gf8, [1, 2])
@@ -240,26 +275,35 @@ def test_bench_all_pipelines_agree(rs73):
     assert report.claim_holds
 
 
-# Totals over bench(..., trials=4, seed=0): (mults, iterations) per decoder.
-# These are the paper's counts as the counted pipelines measure them; a
-# change to any pipeline that moves one must say why.
+# Totals over bench(..., trials=4, seed=0): (mults, invs, iterations) per
+# decoder.  These are the paper's counts as the counted pipelines measure
+# them; a change to any pipeline that moves one must say why.
 PINNED_COUNTS = [
-    ((8, 223, 16, 8), {"gao": (955_752, 32), "truong": (317_701, 32),
-                       "suggested": (315_045, 32)}),
-    ((8, 223, 0, 16), {"gao": (1_090_502, 64), "truong": (309_250, 64),
-                       "suggested": (308_162, 64)}),
-    ((4, 7, 4, 2), {"gao": (2_590, 8), "truong": (1_811, 8),
-                    "suggested": (1_627, 8)}),
+    ((8, 223, 16, 8), {"gao": (955_752, 992, 32),
+                       "truong": (317_701, 36, 32),
+                       "suggested": (315_045, 36, 32)}),
+    ((8, 223, 0, 16), {"gao": (1_090_502, 1_087, 64),
+                       "truong": (309_250, 67, 64),
+                       "suggested": (308_162, 67, 64)}),
+    ((4, 7, 4, 2), {"gao": (2_590, 55, 8), "truong": (1_811, 11, 8),
+                    "suggested": (1_627, 11, 8)}),
+    ((8, 127, 64, 32), {"gao": (716_993, 893, 127),
+                        "truong": (466_175, 129, 127),
+                        "suggested": (440_255, 129, 127)}),
 ]
 
 
 @pytest.mark.parametrize("shape, counts", PINNED_COUNTS,
-                         ids=["rs255-l16-t8", "rs255-l0-t16", "rs15-l4-t2"])
+                         ids=["rs255-l16-t8", "rs255-l0-t16", "rs15-l4-t2",
+                              "rs255-l64-t32"])
 def test_bench_pins_the_paper_counts(shape, counts):
     m, k, l, t = shape
     report = bench(CodeParams(Field(m), k), 4, l=l, t=t, seed=0,
                    strict=False)
+    # mean_steps holds per-trial means of each step's integer counts
     assert {name: (sum(report.trial_mults[name]),
+                   round(report.trials * sum(
+                       step.invs for step in report.mean_steps[name].values())),
                    sum(report.trial_iterations[name]))
             for name in report.algorithms} == counts
     assert report.claim_holds
