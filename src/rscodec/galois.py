@@ -43,8 +43,9 @@ class Field:
                  "_hash")
 
     def __init__(self, m: int, prim_poly: int | None = None):
-        if not MIN_M <= m <= MAX_M:
-            raise ValueError(f"m must be in [{MIN_M}, {MAX_M}], got {m}")
+        if type(m) is not int or not MIN_M <= m <= MAX_M:  # bool fails too
+            raise ValueError(f"m must be an int in [{MIN_M}, {MAX_M}], "
+                             f"got {m!r}")
         if prim_poly is None:
             prim_poly = DEFAULT_PRIMITIVE_POLYS[m]
         if (not isinstance(prim_poly, int) or isinstance(prim_poly, bool)

@@ -20,10 +20,12 @@ imported.  From m = 9 on each kernel takes its path from one operand's
 length, the longer factor of a product or the divisor of a division.
 Below ROW_KERNEL_MIN_LEN coefficients it loops inline over the
 log/antilog tables and skips zero terms; from it each row is a single
-numpy gather-and-XOR, numpy imported on the first such row.  Evaluation
-and root_product keep their own loops, scalar on a subclass and over the
-tables on a plain Field.  All paths give bit-identical results, as plain
-ints.
+numpy gather-and-XOR, numpy imported on the first such row.  The
+erasure-locator product root_product multiplies one factor at a time
+through multiply_rows, except on a plain Field up to BYTE_MAX_M, where it
+keeps one packed int.  Evaluation keeps its own loop, scalar on a
+subclass and over the tables on a plain Field.  All paths give
+bit-identical results, as plain ints.
 """
 
 from __future__ import annotations
@@ -392,34 +394,20 @@ def root_product(field: Field, exponents: Iterable[int]) -> Poly:
 
     On a plain Field up to BYTE_MAX_M the product is one int, a byte per
     coefficient, and (x - a) p = x p + a p is one shift, one translate and
-    one XOR.  From m = 9 on each factor multiplies in place through the
-    log tables, where log(alpha^e) is e itself.  Any other field context
-    multiplies one Poly factor at a time, so every product goes through
-    field.mul.
+    one XOR.  Every other field multiplies the product's row by one factor
+    at a time through multiply_rows, so from m = 9 on the row kernels
+    choose the arithmetic, and on a Field subclass every product goes
+    through field.mul.
     """
-    if type(field) is not Field:
-        product = Poly.one(field)
-        for e in exponents:
-            product = product * Poly._make(field, [field.alpha_pow(e), 1])
-        return product
-    exp, log = field._exp, field._log
-    if field.m <= BYTE_MAX_M:
-        mul = byte_tables(field).mul
+    if type(field) is Field and field.m <= BYTE_MAX_M:
+        exp, mul = field._exp, byte_tables(field).mul
         product, size = 1, 1
         for e in exponents:
             product = (product << 8) ^ int.from_bytes(product.to_bytes(
                 size, "little").translate(mul[exp[e]]), "little")
             size += 1
         return Poly._make(field, product.to_bytes(size, "little"))
-    coeffs = [1]
+    row = (1,)
     for e in exponents:
-        coeffs.append(coeffs[-1])
-        for i in range(len(coeffs) - 2, 0, -1):
-            c = coeffs[i]
-            if c:
-                coeffs[i] = coeffs[i - 1] ^ exp[log[c] + e]
-            else:
-                coeffs[i] = coeffs[i - 1]
-        # the constant term is a product of nonzero roots
-        coeffs[0] = exp[log[coeffs[0]] + e]
-    return Poly._make(field, coeffs)
+        row = multiply_rows(field, row, (field.alpha_pow(e), 1))
+    return Poly._make(field, row)

@@ -16,7 +16,7 @@ write_header puts there ((0x)?[0-9A-Fa-f]+).
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import TextIO
 
 from ..codec import CodeParams, ReceivedWord
@@ -74,10 +74,10 @@ def write_header(out: TextIO, params: CodeParams) -> None:
 
 def write_block(out: TextIO, symbols: Sequence[int],
                 erasures: Iterable[int] = ()) -> None:
-    erased = set(erasures)
-    out.write(" ".join(ERASURE_MARK if i in erased else str(s)
-                       for i, s in enumerate(symbols)))
-    out.write("\n")
+    tokens = [str(s) for s in symbols]
+    for pos in erasures:
+        tokens[pos] = ERASURE_MARK
+    out.write(" ".join(tokens) + "\n")
 
 
 def read_header(line: str) -> CodeParams:
@@ -100,24 +100,26 @@ def read_header(line: str) -> CodeParams:
     return params
 
 
-def read_blocks(handle: TextIO) -> tuple[CodeParams, list[ReceivedWord]]:
-    """Parse a block file into code parameters and received words."""
-    header = handle.readline()
-    if not _tokens(header):
-        raise BlockFormatError("missing header line")
-    params = read_header(header)
-    blocks = []
-    for lineno, line in enumerate(handle, start=2):
+def _rows(handle: TextIO, width: int, field: Field, first: int,
+          mark: str | None = None
+          ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Symbols and erased positions of each non-blank line of handle.
+
+    Every line must hold width tokens, each a decimal element of field or
+    the erasure mark, if any; a marked position reads as 0.  first is the
+    first line's number in error messages.
+    """
+    for lineno, line in enumerate(handle, start=first):
         tokens = _tokens(line)
         if not tokens:
             continue
-        if len(tokens) != params.n:
+        if len(tokens) != width:
             raise BlockFormatError(
-                f"line {lineno}: expected {params.n} symbols, got {len(tokens)}")
+                f"line {lineno}: expected {width} symbols, got {len(tokens)}")
         symbols = []
         erasures = []
         for pos, token in enumerate(tokens):
-            if token == ERASURE_MARK:
+            if token == mark:
                 symbols.append(0)
                 erasures.append(pos)
                 continue
@@ -126,34 +128,24 @@ def read_blocks(handle: TextIO) -> tuple[CodeParams, list[ReceivedWord]]:
             except ValueError:
                 raise BlockFormatError(
                     f"line {lineno}: bad symbol {token!r}") from None
-            if not 0 <= value < params.field.order:
+            if not 0 <= value < field.order:
                 raise BlockFormatError(
                     f"line {lineno}: symbol {value} is outside "
-                    f"GF(2^{params.field.m})")
+                    f"GF(2^{field.m})")
             symbols.append(value)
-        blocks.append(ReceivedWord(symbols=tuple(symbols),
-                                   erasures=tuple(erasures)))
-    return params, blocks
+        yield tuple(symbols), tuple(erasures)
+
+
+def read_blocks(handle: TextIO) -> tuple[CodeParams, list[ReceivedWord]]:
+    """Parse a block file into code parameters and received words."""
+    header = handle.readline()
+    if not _tokens(header):
+        raise BlockFormatError("missing header line")
+    params = read_header(header)
+    rows = _rows(handle, params.n, params.field, 2, ERASURE_MARK)
+    return params, [ReceivedWord(*row) for row in rows]
 
 
 def read_messages(handle: TextIO, params: CodeParams) -> list[tuple[int, ...]]:
     """Parse lines of k space-separated message symbols."""
-    messages = []
-    for lineno, line in enumerate(handle, start=1):
-        tokens = _tokens(line)
-        if not tokens:
-            continue
-        if len(tokens) != params.k:
-            raise BlockFormatError(
-                f"line {lineno}: expected {params.k} symbols, got {len(tokens)}")
-        try:
-            values = [_decimal(token) for token in tokens]
-        except ValueError:
-            raise BlockFormatError(f"line {lineno}: bad symbol") from None
-        for value in values:
-            if not 0 <= value < params.field.order:
-                raise BlockFormatError(
-                    f"line {lineno}: symbol {value} is outside "
-                    f"GF(2^{params.field.m})")
-        messages.append(tuple(values))
-    return messages
+    return [symbols for symbols, _ in _rows(handle, params.k, params.field, 1)]

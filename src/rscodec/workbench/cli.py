@@ -146,7 +146,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                 continue
             result = decoder(params, block)
             if result.ok:
-                dst.write(" ".join(str(s) for s in result.message) + "\n")
+                blockio.write_block(dst, result.message)
             else:
                 print(f"block {index}: decode failed ({result.cause.value})",
                       file=sys.stderr)

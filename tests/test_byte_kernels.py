@@ -6,7 +6,8 @@ bytes.translate and int XOR, the key-equation solve through those two
 kernels, and at n = 255 the transform and the sparse DFT rows run through
 the packed prime-factor tables.  A CountingField over the same field takes
 the scalar loops that route every product through field.mul.  Every
-result must be bit-identical and made of plain ints.
+result must be bit-identical and made of plain ints.  The locator product
+is also checked at m = 9 and 10, where it runs through the row kernels.
 """
 
 import random
@@ -105,9 +106,14 @@ def test_scaling_matches_counted(case, c):
     assert fast.is_zero == (c == 0 or fa.is_zero)
 
 
+# root_product leaves the byte loop above BYTE_MAX_M for multiply_rows, so
+# its sets reach two fields past it
+ROOT_FIELDS = {**FIELDS, **{m: Field(m) for m in (9, 10)}}
+
+
 @st.composite
 def root_sets(draw):
-    m = draw(st.sampled_from(BYTE_M))
+    m = draw(st.sampled_from(sorted(ROOT_FIELDS)))
     n = (1 << m) - 1
     count = draw(st.one_of(st.integers(0, n), st.sampled_from([0, 1, n])))
     return m, draw(st.permutations(range(n)))[:count]
@@ -118,9 +124,11 @@ def root_sets(draw):
 @example((8, list(range(255))))    # every root: x^255 - 1
 @example((8, [0]))
 @example((3, []))
+@example((9, []))
+@example((9, list(range(40))))     # past the row kernels' numpy length
 def test_root_product_matches_counted(case):
     m, exponents = case
-    field = FIELDS[m]
+    field = ROOT_FIELDS[m]
     fast = root_product(field, exponents)
     assert fast.coeffs == root_product(scalar(field), exponents).coeffs
     assert plain_ints(fast)

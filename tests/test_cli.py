@@ -317,3 +317,10 @@ def test_message_separators_are_space_or_tab(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 \t2\t3 \r\n\t\r\n"))
     assert main(["encode", "--m", "3", "--k", "3"]) == 0
     assert capsys.readouterr().out == CLEAN_BLOCK
+
+
+def test_erasure_mark_in_a_message_file_is_rejected(tmp_path, capsys):
+    # a message has no erasures; the error names the token as block files do
+    message = write_lines(tmp_path / "message.txt", "1 2 3\n1 ? 3\n")
+    assert main(["encode", "--m", "3", "--k", "3", "--in", message]) == 2
+    assert "line 2: bad symbol '?'" in capsys.readouterr().err

@@ -44,6 +44,14 @@ def test_code_params(gf8):
         CodeParams(gf8, 7)
 
 
+@pytest.mark.parametrize("k", [3.0, True, "3"])
+def test_code_params_rejects_non_int_k(gf8, k):
+    # 3.0 used to build a code whose decoders then raised TypeError, and
+    # True a k = 1 code
+    with pytest.raises(ValueError, match="k must be an int"):
+        CodeParams(gf8, k)
+
+
 def test_encode_worked_example(rs73):
     # message polynomial x evaluates to the alpha powers in order
     assert encode(rs73, (0, 1, 0)) == (1, 2, 4, 3, 6, 7, 5)

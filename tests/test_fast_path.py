@@ -455,6 +455,11 @@ def erasure_sets(draw):
 @example((6, list(range(62))), 1)
 @example((8, list(range(254, 0, -1))), 1)    # l = n - 1 at m = 8
 @example((8, [0, 9, 100]), 77)               # non-monic locator
+# at l = 31 the row reaches ROW_KERNEL_MIN_LEN coefficients, all built
+# inline; l = 32 multiplies it once in numpy, l = 33 twice
+@example((9, list(range(0, 310, 10))), 3)
+@example((9, list(range(510, 478, -1))), 1)
+@example((9, list(range(1, 100, 3))), 200)
 def test_erasure_locator_and_quotient_match_scalar(case, scale):
     m, positions = case
     field = FIELDS[m]
@@ -481,6 +486,20 @@ def test_large_field_quotient_matches_long_division(m):
             quot, rem = divmod(xn_minus_one(field, n), locator)
             assert rem.is_zero
             assert cyclotomic_quotient(locator, n) == quot
+
+
+def test_long_locator_vanishes_at_its_roots_only():
+    # l = 2,000 at m = 12 builds most of the locator in numpy rows; the
+    # counted reference would take 2 M products, so the check is by roots
+    field = FIELDS[12]
+    positions = random.Random(12).sample(range(field.n), 2000)
+    locator = erasure_locator(CodeParams(field, 1), positions)
+    assert locator.degree == 2000 and locator.lead == 1
+    values = evaluate_all(locator, field.n)
+    assert {pos for pos, v in enumerate(values) if not v} == set(positions)
+    quot, rem = divmod(xn_minus_one(field, field.n), locator)
+    assert rem.is_zero
+    assert cyclotomic_quotient(locator, field.n) == quot
 
 
 @pytest.mark.parametrize("m", [3, 6, 10])

@@ -157,6 +157,13 @@ def test_rejects_m_out_of_range(m):
         Field(m)
 
 
+@pytest.mark.parametrize("m", [8.0, True, "8"])
+def test_rejects_non_int_m(m):
+    # 8.0 passed the range check and then failed in 1 << m
+    with pytest.raises(ValueError, match="m must be an int"):
+        Field(m)
+
+
 def test_check_element(gf8):
     assert gf8.check_element(7) == 7
     assert gf8.check_element(0) == 0
