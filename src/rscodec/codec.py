@@ -15,8 +15,9 @@ times the factor if any.  The solve's stop degree already bounds deg W
 by (d - 1 - l) / 2, so step 3 needs no separate radius check.  Steps 1
 and 2a are each algorithm's own:
 
-  decode_gao           interpolate the n - l non-erased positions only;
-                       modulus (x^n - 1) / L
+  decode_gao           interpolate_subset: the n - l non-erased positions
+                       only, from the word and its erasures; modulus
+                       (x^n - 1) / L
   decode_truong        interpolate the full zero-filled vector R; known
                        R * L folded mod x^n - 1, modulus x^n - 1, factor L
   decode_suggested     interpolate R; modulus (x^n - 1) / L, which step 2b
@@ -159,8 +160,10 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
     interpolate(field, symbols, erasures) is step 1.  prepare(received,
     locator) is step 2a and returns (known, modulus, factor), where
     factor is None or a polynomial that step 3 divides out besides W.
-    ReceivedWord checks and sorts the erasures and step 1 range-checks
-    the symbols, so only the early return, which skips step 1, checks them.
+    ReceivedWord checks and sorts the erasures.  Step 1 range-checks every
+    symbol, erased ones included, so only the early return, which skips
+    step 1, checks them here; interpolate_subset, being public, checks the
+    l erasures once more.
     """
     syms = tuple(symbols)
     if len(syms) != params.n:
@@ -196,17 +199,11 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
 
 
 # Steps 1 and 2a look the spectral functions up in this module's globals
-# at call time, so a wrapper installed on rscodec.codec sees every call.
+# at call time, decode_gao's interpolate_subset included, so a wrapper
+# installed on rscodec.codec sees every call.
 
 def _interpolate_all(field: Field, symbols, erasures) -> Poly:
     return interpolate_all(field, symbols)
-
-
-def _interpolate_survivors(field: Field, symbols, erasures) -> Poly:
-    erased = set(erasures)
-    return interpolate_subset(field, [(pos, symbols[pos])
-                                      for pos in range(field.n)
-                                      if pos not in erased])
 
 
 def _reduced_modulus(received: Poly, locator: Poly):
@@ -241,7 +238,7 @@ def decode_gao(params: CodeParams, received: ReceivedWord, *,
     equation against the reduced modulus (x^n - 1) / locator.
     """
     return _decode(params, received.symbols, received.erasures, counter,
-                   _interpolate_survivors, _reduced_modulus)
+                   interpolate_subset, _reduced_modulus)
 
 
 def decode_truong(params: CodeParams, received: ReceivedWord, *,

@@ -46,10 +46,11 @@ class KeyEquationProblem:
             raise ValueError(
                 f"known degree {self.known.degree} must be below "
                 f"modulus degree {self.modulus.degree}")
-        if not 0 < self.stop_degree <= self.modulus.degree:
+        if (type(self.stop_degree) is not int
+                or not 0 < self.stop_degree <= self.modulus.degree):
             raise ValueError(
-                f"stop_degree {self.stop_degree} is outside "
-                f"(0, {self.modulus.degree}]")
+                f"stop_degree must be an int in (0, {self.modulus.degree}], "
+                f"got {self.stop_degree!r}")
 
 
 @dataclass(frozen=True)

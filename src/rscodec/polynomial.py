@@ -383,9 +383,9 @@ class Poly:
 
 
 def xn_minus_one(field: Field, n: int) -> Poly:
-    """x^n - 1, which in characteristic 2 is x^n + 1."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    """x^n - 1, which in characteristic 2 is x^n + 1; n a positive int."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive int, got {n!r}")
     return Poly._make(field, [1] + [0] * (n - 1) + [1])
 
 

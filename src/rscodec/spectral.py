@@ -88,24 +88,28 @@ l root rows (-e) mod n.  The roots are where the even and odd terms,
 each _row_sum over their own rows, agree.  A CountingField, and a
 locator of degree 0 or n, takes the long division of x^n - 1.
 
-interpolate_subset, through the n - l surviving positions, has two paths:
+interpolate_subset(field, values, erasures) interpolates the n - l
+positions that are not erased.  The values at the erased positions must
+be field elements but do not change the result.  It has two paths:
 
-  reduction     a plain Field: P mod M, where P interpolates the
-                zero-filled length-n vector and M = (x^n - 1) / locator is
-                the product of (x - alpha^i) over the survivors, locator
-                the product over the l missing positions.  P mod M has
-                degree < n - l and equals P, hence the value, at every
-                survivor, so it is the unique interpolant.  M is built
-                from its values: the positions are known, so no root
-                search is needed, and M(alpha^e) = 1 / locator_odd(alpha^e)
-                at each missing e is one Horner evaluation of the odd
-                part, followed by the same _row_sum over the l root rows
-                as the closed form.  The locator and the Horner
-                evaluations cost O(l^2), so with fewer survivors than
-                missing positions M is root_product of the survivors.
+  reduction     a plain Field: P mod M, where P interpolates all n values
+                and M = (x^n - 1) / locator is the product of
+                (x - alpha^i) over the survivors, locator the product over
+                the l missing positions.  P mod M has degree < n - l and
+                equals P, hence the value, at every survivor, whatever P
+                is at the missing positions, so it is the unique
+                interpolant.  M is built from its values: the positions
+                are known, so no root search is needed, and
+                M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e is
+                one Horner evaluation of the odd part, followed by the
+                same _row_sum over the l root rows as the closed form.
+                The locator and the Horner evaluations cost O(l^2), so
+                with fewer survivors than missing positions M is
+                root_product of the survivors.
   Lagrange loop a CountingField only: root_product of the survivors, then
-                one basis division and evaluation per survivor, so the
-                workbench counts the paper's gao interpolation.
+                one basis division and evaluation per survivor, in
+                ascending order, so the workbench counts the paper's gao
+                interpolation.
 """
 
 from __future__ import annotations
@@ -452,30 +456,32 @@ def check_positions(positions, n: int) -> tuple[int, ...]:
     return checked
 
 
-def interpolate_subset(field: Field, points: Sequence[tuple[int, int]]) -> Poly:
-    """Lagrange interpolation through (alpha^pos, value) pairs.
+def interpolate_subset(field: Field, values: Sequence[int],
+                       erasures) -> Poly:
+    """The unique polynomial of degree < n - l that agrees with values at
+    every position not in erasures.
 
-    points holds (position, value) pairs with distinct positions in
-    [0, n).  The result is the unique polynomial of degree < len(points)
-    through them.
+    values holds n field elements, one per position; those at the l
+    erased positions are ignored.  erasures are distinct positions in
+    [0, n), fewer than n of them.
     """
     n = field.n
-    if not points:
-        raise ValueError("at least one interpolation point is required")
-    seen = set(check_positions([pos for pos, _ in points], n))
+    if len(values) != n:
+        raise ValueError(f"expected {n} values, got {len(values)}")
+    missing = check_positions(erasures, n)
+    if len(missing) == n:
+        raise ValueError("every position is erased")
 
     if type(field) is Field:
         # P mod M, see the module docstring
-        values = [0] * n
-        for pos, value in points:
-            values[pos] = value
         full = interpolate_all(field, values)
-        missing = [pos for pos in range(n) if pos not in seen]
         if not missing:
             return full
-        if len(points) <= len(missing):
+        if n <= 2 * len(missing):
             # fewer survivors than missing positions: M is their product
-            return full % root_product(field, [pos for pos, _ in points])
+            erased = set(missing)
+            return full % root_product(
+                field, [pos for pos in range(n) if pos not in erased])
         # M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e, where
         # locator_odd(alpha^e) = alpha^e * odd(alpha^2e) for the polynomial
         # odd holding the locator's odd-degree coefficients.  Horner's rule
@@ -483,24 +489,26 @@ def interpolate_subset(field: Field, points: Sequence[tuple[int, int]]) -> Poly:
         # Poly.evaluate, whose span perfbench reads, on the decode path.
         locator = root_product(field, missing)
         odd = Poly._make(field, list(locator.coeffs[1::2]))
-        values = [field.alpha_pow(
+        inverses = [field.alpha_pow(
             -e - field.log(odd.evaluate(field.alpha_pow(2 * e))))
             for e in missing]
         # M's coefficient j is sum_e M(alpha^e) alpha^(-ej): rows (-e) mod n
         return full % Poly._make(field, list(_row_sum(
-            field, [-e % n for e in missing], values)))
+            field, [-e % n for e in missing], inverses)))
 
-    for _, value in points:
+    for value in values:
         field.check_element(value)
-    master = root_product(field, [pos for pos, _ in points])
-    xs = [field.alpha_pow(pos) for pos, _ in points]
+    erased = set(missing)
+    survivors = [pos for pos in range(n) if pos not in erased]
+    master = root_product(field, survivors)
 
     acc = Poly.zero(field)
     fmul = field.mul
-    for x, (_, y) in zip(xs, points):
+    for pos in survivors:
+        x = field.alpha_pow(pos)
         basis, _ = divmod(master, Poly._make(field, [x, 1]))
         denom = basis.evaluate(x)
-        acc = acc + basis.scale(fmul(y, field.inv(denom)))
+        acc = acc + basis.scale(fmul(values[pos], field.inv(denom)))
     return acc
 
 

@@ -79,8 +79,9 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
           strict: bool = True) -> OpCountReport:
     """Run the DECODERS pipelines side by side on seeded random trials.
 
-    l is fixed for the whole run.  t is either fixed or, when None,
-    sampled per trial uniformly from the decodable range 2t + l < d.
+    trials, l and t are ints; bool and float are refused.  l is fixed for
+    the whole run.  t is either fixed or, when None, sampled per trial
+    uniformly from the decodable range 2t + l < d.
     strict raises ComplexityClaimError as soon as the report would record
     a violation; pass strict=False to collect the report regardless.
     Fields above BENCH_MAX_M raise ValueError.
@@ -90,13 +91,15 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
             f"bench counts O(n^2) multiplications per transform and stops "
             f"at m = {BENCH_MAX_M}, where a trial takes seconds and each two "
             f"more steps of m cost about 16x; got m = {params.field.m}")
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
-    if not 0 <= l < params.d:
-        raise ValueError(f"l must be in [0, {params.d}), got {l}")
+    # bool is a subclass of int, so the counts are checked by type
+    if type(trials) is not int or trials < 0:
+        raise ValueError(f"trials must be a nonnegative int, got {trials!r}")
+    if type(l) is not int or not 0 <= l < params.d:
+        raise ValueError(f"l must be an int in [0, {params.d}), got {l!r}")
     t_max = (params.d - 1 - l) // 2
-    if t is not None and not 0 <= t <= t_max:
-        raise ValueError(f"t must be in [0, {t_max}] for l = {l}, got {t}")
+    if t is not None and (type(t) is not int or not 0 <= t <= t_max):
+        raise ValueError(
+            f"t must be an int in [0, {t_max}] for l = {l}, got {t!r}")
 
     rng = random.Random(seed)
     counters: dict[str, list[OpCounter]] = {name: [] for name in DECODERS}

@@ -27,8 +27,11 @@ class ChannelSpec:
     erasure_positions: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.t < 0 or self.l < 0:
-            raise ValueError(f"t and l must be nonnegative, got {self.t}, {self.l}")
+        # bool is a subclass of int, so the counts are checked by type
+        if any(type(count) is not int or count < 0
+               for count in (self.t, self.l)):
+            raise ValueError(f"t and l must be nonnegative ints, got "
+                             f"{self.t!r}, {self.l!r}")
         for name, fixed, count in (("error", self.error_positions, self.t),
                                    ("erasure", self.erasure_positions, self.l)):
             if fixed is None:

@@ -15,6 +15,9 @@ GF(2^10), go through all four decoders.  On every word:
   - at RS(15, k <= 3), every ok result is the brute-force oracle's unique
     nearest codeword.
 
+Separately, a sha256 over every decoder's answers and iteration counts on
+seeded RS(15,7), RS(255,223) and RS(255,127) blocks is pinned.
+
 The counted path pays a schoolbook transform, O(n^2) calls to field.mul,
 and takes seconds per word at m = 10, so the CountingField comparison runs
 for m <= 8.  m = 8 already takes the dense transform, the row kernels and
@@ -22,6 +25,7 @@ the closed-form quotient that m = 9 and 10 take, so the larger fields get
 a few words with the other four checks only.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -151,3 +155,54 @@ def test_decoders_return_the_nearest_codeword(k):
             assert nearest == errors_only.message == message
         assert not errors_only.ok or errors_only.message == nearest
     assert past_radius >= 200
+
+
+# sha256 of every decoder's (name, message, cause, iterations) on the
+# blocks of answer_records; it changes only if some decoder's answer or
+# Euclidean iteration count does.
+ANSWERS_SHA256 = (
+    "56fd302a34be217a5ccc7783d0573ceb8ba652e2541f756fbe4571455e916725")
+# (m, k, erasure cycle): the shapes of RS(15,7), RS(255,223), RS(255,127)
+ANSWER_SHAPES = ((4, 7, (0, 2, 4)), (8, 223, (0, 8, 16)),
+                 (8, 127, (0, 32, 64)))
+ANSWER_BLOCKS = 4
+# decode_all's order
+ANSWER_DECODERS = ("gao", "truong", "suggested", "errors_only")
+
+
+def answer_records():
+    """(m, k, l, t, decoder, message, cause, iterations) per decode of
+    seeded blocks at the radius and one error past it."""
+    records = []
+    for m, k, cycle in ANSWER_SHAPES:
+        params = CodeParams(FIELDS[m], k)
+        n, order = params.n, params.field.order
+        rng = random.Random(f"answers/{m}/{k}")
+        for l in cycle:
+            radius = (params.d - 1 - l) // 2
+            for t in (radius, radius + 1):
+                for _ in range(ANSWER_BLOCKS):
+                    message = tuple(rng.randrange(order) for _ in range(k))
+                    symbols = list(encode(params, message))
+                    positions = rng.sample(range(n), t + l)
+                    for pos in positions[:t]:
+                        symbols[pos] ^= rng.randrange(1, order)
+                    word = ReceivedWord(tuple(symbols), tuple(positions[t:]))
+                    decoded = zip(ANSWER_DECODERS, decode_all(params, word))
+                    for name, (result, iterations) in decoded:
+                        # errors-only reads erased positions as symbols
+                        if name != "errors_only" or l == 0:
+                            records.append((
+                                m, k, l, t, name, result.message,
+                                result.cause and result.cause.value,
+                                iterations))
+    return records
+
+
+def test_decoder_answers_are_pinned():
+    records = answer_records()
+    at_radius = [r for r in records if 2 * r[3] + r[2] < (1 << r[0]) - r[1]]
+    assert all(r[5] is not None for r in at_radius)
+    assert len(at_radius) < len(records)
+    digest = hashlib.sha256("\n".join(map(repr, records)).encode())
+    assert digest.hexdigest() == ANSWERS_SHA256

@@ -246,9 +246,9 @@ def test_results_are_plain_ints(m):
     rng = random.Random(m)
     values = [rng.randrange(field.order) for _ in range(field.n)]
     assert all(type(c) is int for c in interpolate_all(field, values).coeffs)
+    survivors = [value or 1 for value in values]
     for l in (0, 8, field.n - 1):  # every survivor, some, and a single one
-        points = [(pos, values[pos] or 1) for pos in range(l, field.n)]
-        coeffs = interpolate_subset(field, points).coeffs
+        coeffs = interpolate_subset(field, survivors, range(l)).coeffs
         assert coeffs and all(type(c) is int for c in coeffs)
 
 
@@ -606,41 +606,51 @@ def test_key_equation_stage_results_are_plain_ints():
 
 
 @st.composite
-def survivor_sets(draw):
-    """(m, points): distinct positions in random order with their values.
+def erasure_sets(draw):
+    """(m, values, erasures): n values and distinct erased positions in
+    random order.
 
-    The scalar Lagrange side is O(count^2), so above m = 8 the survivors
-    are capped; l = n - count then stays close to n there.
+    The scalar Lagrange side is O(count^2) in the survivors, so above
+    m = 8 they are capped; l = n - count then stays close to n there.
     """
     m = draw(st.integers(MIN_M, COUNTED_MAX_M))
     n = (1 << m) - 1
     cap = n if m <= 8 else 40
     count = draw(st.one_of(st.integers(1, cap), st.sampled_from([1, cap])))
-    positions = draw(st.permutations(range(n)))[:count]
-    values = draw(coeff_lists(m, max_len=count))
-    values = values + [0] * (count - len(values))
-    return m, list(zip(positions, values))
+    erasures = draw(st.permutations(range(n)))[count:]
+    values = draw(coeff_lists(m, max_len=n))
+    return m, values + [0] * (n - len(values)), erasures
+
+
+def spread(n, survivors):
+    """n values, survivors' (position, value) pairs and 5 elsewhere, and the
+    positions that are not survivors in descending order."""
+    values = [5] * n
+    for pos, value in survivors:
+        values[pos] = value
+    kept = {pos for pos, _ in survivors}
+    return values, [pos for pos in range(n - 1, -1, -1) if pos not in kept]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(survivor_sets())
-@example((3, [(6, 1)]))                                     # l = n - 1
-@example((4, [(i, i) for i in range(15)]))                  # l = 0, zero value
-@example((4, [(i, 7) for i in range(14, -1, -2)]))          # descending
-@example((5, [(i, 1) for i in range(31)]))                  # l = 0 at n = 31
-@example((5, [(i, i % 3) for i in range(30, 0, -3)]))       # n = 31, l = 21
-@example((6, [(i, 0) for i in range(0, 63, 5)]))            # all values zero
-@example((6, [(i, i) for i in range(62, 2, -1)]))           # n = 63, l = 3
-@example((8, [(i, (7 * i) % 256) for i in range(254, -1, -1)]))  # l = 0
-@example((8, [(200, 9)]))                                   # l = n - 1
-@example((10, [(1000, 3)]))
+@given(erasure_sets())
+@example((3, *spread(7, [(6, 1)])))                              # l = n - 1
+@example((4, *spread(15, [(i, i) for i in range(15)])))          # l = 0, zero
+@example((4, *spread(15, [(i, 7) for i in range(14, -1, -2)])))   # l = 7
+@example((5, *spread(31, [(i, 1) for i in range(31)])))          # l = 0, n = 31
+@example((5, *spread(31, [(i, i % 3) for i in range(30, 0, -3)])))  # l = 21
+@example((6, *spread(63, [(i, 0) for i in range(0, 63, 5)])))    # zero survivors
+@example((6, *spread(63, [(i, i) for i in range(62, 2, -1)])))   # n = 63, l = 3
+@example((8, *spread(255, [(i, (7 * i) % 256) for i in range(255)])))  # l = 0
+@example((8, *spread(255, [(200, 9)])))                          # l = n - 1
+@example((10, *spread(1023, [(1000, 3)])))
 def test_subset_interpolation_matches_scalar(case):
-    m, points = case
+    m, values, erasures = case
     field = FIELDS[m]
-    fast = interpolate_subset(field, points)
-    ref = interpolate_subset(scalar(field), points)
+    fast = interpolate_subset(field, values, erasures)
+    ref = interpolate_subset(scalar(field), values, erasures)
     assert fast.coeffs == ref.coeffs
-    assert fast.degree < len(points)
+    assert fast.degree < field.n - len(erasures)
 
 
 @pytest.mark.parametrize("m", LARGE_M)
@@ -651,20 +661,19 @@ def test_large_field_subset_interpolation(m):
     rng = random.Random(m)
     for field, l in ((FIELDS[m], 1), (Field(m, OTHER_PRIM_POLYS[m]), 16)):
         n = field.n
-        missing = set(rng.sample(range(n), l))
-        survivors = [pos for pos in range(n) if pos not in missing]
+        order = rng.sample(range(n), n)
         message = [rng.randrange(field.order) for _ in range(24)]
         codeword = encode(CodeParams(field, 24), message)
-        points = [(pos, codeword[pos]) for pos in survivors]
-        assert interpolate_subset(field, points).coeffs == tuple(message)
+        p = interpolate_subset(field, codeword, order[:l])
+        assert p.coeffs == tuple(message)
         # any 24 symbols pin it down too; M is then the survivors' product
-        points = rng.sample(points, 24)
-        assert interpolate_subset(field, points).coeffs == tuple(message)
-    points = [(pos, rng.randrange(field.order)) for pos in survivors]
-    p = interpolate_subset(field, points)
+        p = interpolate_subset(field, codeword, order[24:])
+        assert p.coeffs == tuple(message)
+    values = [rng.randrange(field.order) for _ in range(n)]
+    p = interpolate_subset(field, values, order[:l])
     assert p.degree < n - l
-    for pos, value in rng.sample(points, 8):
-        assert p.evaluate(field.alpha_pow(pos)) == value
+    for pos in rng.sample(order[l:], 8):
+        assert p.evaluate(field.alpha_pow(pos)) == values[pos]
 
 
 def test_subset_interpolation_dispatch(monkeypatch):
@@ -679,13 +688,15 @@ def test_subset_interpolation_dispatch(monkeypatch):
         return divmod_(self, other)
 
     monkeypatch.setattr(Poly, "__divmod__", spy)
-    points = [(pos, pos % 5) for pos in range(1, 7)]
+    # six survivors, positions 1 to 6
     for field in (FIELDS[3], FIELDS[COUNTED_MAX_M]):
-        interpolate_subset(field, points)
+        values = [pos % 5 for pos in range(field.n)]
+        interpolate_subset(field, values, [0, *range(7, field.n)])
     # all but one position at m = 11, which the Lagrange loop served before
-    interpolate_subset(FIELDS[11], [(pos, pos % 5)
-                                    for pos in range(1, FIELDS[11].n)])
+    interpolate_subset(FIELDS[11], [pos % 5 for pos in range(FIELDS[11].n)],
+                       [0])
     assert calls == [True, True, True]
     calls.clear()
-    interpolate_subset(scalar(FIELDS[4]), points)
-    assert calls == [False] * len(points)
+    values = [pos % 5 for pos in range(15)]
+    interpolate_subset(scalar(FIELDS[4]), values, [0, *range(7, 15)])
+    assert calls == [False] * 6

@@ -43,6 +43,13 @@ def test_problem_validation(gf8, gf16):
                            stop_degree=4)
 
 
+@pytest.mark.parametrize("stop", [1.0, True, 2.5])
+def test_problem_refuses_non_int_stop_degree(gf8, stop):
+    with pytest.raises(ValueError, match="stop_degree must be an int"):
+        KeyEquationProblem(modulus=xn_minus_one(gf8, 7),
+                           known=Poly(gf8, [1, 2, 3]), stop_degree=stop)
+
+
 def test_zero_known_is_trivial(gf8):
     solution = solve_key_equation(KeyEquationProblem(
         modulus=xn_minus_one(gf8, 7), known=Poly.zero(gf8), stop_degree=3))

@@ -182,6 +182,13 @@ def test_xn_minus_one(gf8):
         xn_minus_one(gf8, 0)
 
 
+@pytest.mark.parametrize("n", [1.0, True, 7.0])
+def test_xn_minus_one_refuses_non_int_n(gf8, n):
+    # True would otherwise give x + 1 and 7.0 a TypeError deep inside
+    with pytest.raises(ValueError, match="positive int"):
+        xn_minus_one(gf8, n)
+
+
 def test_equality_across_equal_contexts():
     assert Poly(Field(3), [1, 2]) == Poly(Field(3), [1, 2])
     assert Poly(Field(3), [1, 2]) != Poly(Field(3), [2, 1])

@@ -68,40 +68,64 @@ def test_interpolate_all_validation(gf8):
 def test_subset_worked_example(gf8):
     # five samples of x^2 pin down the parabola exactly
     target = Poly(gf8, [0, 0, 1])
-    points = [(i, target.evaluate(gf8.alpha_pow(i))) for i in range(5)]
-    assert interpolate_subset(gf8, points) == target
+    values = [target.evaluate(gf8.alpha_pow(i)) for i in range(5)] + [0, 0]
+    assert interpolate_subset(gf8, values, (5, 6)) == target
 
 
 def test_subset_matches_reference(gf16):
     rng = random.Random(21)
     for _ in range(150):
         count = rng.randrange(1, 16)
-        positions = rng.sample(range(15), count)
-        values = [rng.randrange(16) for _ in positions]
-        got = interpolate_subset(gf16, list(zip(positions, values)))
+        order = rng.sample(range(15), 15)
+        positions, erasures = order[:count], order[count:]
+        values = [rng.randrange(16) for _ in range(15)]
+        got = interpolate_subset(gf16, values, erasures)
         assert got.degree < count
-        for pos, val in zip(positions, values):
-            assert got.evaluate(gf16.alpha_pow(pos)) == val
-        pairs = [(gf16.alpha_pow(p), v) for p, v in zip(positions, values)]
+        for pos in positions:
+            assert got.evaluate(gf16.alpha_pow(pos)) == values[pos]
+        pairs = [(gf16.alpha_pow(p), values[p]) for p in positions]
         expect = slow_lagrange(4, gf16.prim_poly, pairs)
         assert list(got.coeffs) == trim(expect)
 
 
 def test_subset_interpolation_validation(gf8):
-    with pytest.raises(ValueError, match="at least one"):
-        interpolate_subset(gf8, [])
-    with pytest.raises(ValueError, match="duplicate position"):
-        interpolate_subset(gf8, [(2, 1), (2, 3)])
-    with pytest.raises(ValueError, match="outside"):
-        interpolate_subset(gf8, [(7, 1)])
-    with pytest.raises(ValueError, match="outside"):
-        interpolate_subset(gf8, [(-1, 1)])
+    values = [1] * 7
+    for field in (gf8, CountingField(gf8, OpCounter())):
+        with pytest.raises(ValueError, match="every position is erased"):
+            interpolate_subset(field, values, range(7))
+        with pytest.raises(ValueError, match="duplicate position"):
+            interpolate_subset(field, values, (2, 2))
+        with pytest.raises(ValueError, match="outside"):
+            interpolate_subset(field, values, (7,))
+        with pytest.raises(ValueError, match="outside"):
+            interpolate_subset(field, values, (-1,))
+        for length in (6, 8):
+            with pytest.raises(ValueError, match="expected 7 values"):
+                interpolate_subset(field, [1] * length, (2,))
 
 
 def test_subset_interpolation_rejects_bool_positions(gf8):
     # True would otherwise stand for position 1
     with pytest.raises(ValueError, match="must be an int"):
-        interpolate_subset(gf8, [(True, 2), (2, 3)])
+        interpolate_subset(gf8, [1] * 7, (True, 2))
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(4), Field(8),
+                                   CountingField(Field(4), OpCounter())],
+                         ids=["m3", "m4", "m8", "m4-counted"])
+def test_subset_interpolation_ignores_erased_values(field):
+    # fewer and more erasures than survivors, so both reduction branches
+    n = field.n
+    rng = random.Random(field.m)
+    for l in (1, n // 3, n // 2 + 1, n - 1):
+        erasures = rng.sample(range(n), l)
+        values = [rng.randrange(field.order) for _ in range(n)]
+        zero_filled = list(values)
+        for pos in erasures:
+            values[pos] = rng.randrange(1, field.order)
+            zero_filled[pos] = 0
+        assert (interpolate_subset(field, values, erasures)
+                == interpolate_subset(field, zero_filled, erasures))
 
 
 def test_cyclotomic_quotient_worked_example(gf8):
@@ -145,17 +169,15 @@ def test_reduction_matches_subset_interpolation(m):
         values = [rng.randrange(field.order) for _ in range(n)]
         count = rng.randrange(1, n)
         erased = sorted(rng.sample(range(n), count))
-        kept = [i for i in range(n) if i not in erased]
 
         modulus = cyclotomic_quotient(locator_for(field, erased), n)
         reduced = interpolate_all(field, values) % modulus
-        points = [(i, values[i]) for i in kept]
-        direct = interpolate_subset(field, points)
+        direct = interpolate_subset(field, values, erased)
         assert reduced == direct
         # the plain field's route computes this same reduction; the scalar
         # Lagrange loop is the independent side
         lagrange = interpolate_subset(CountingField(field, OpCounter()),
-                                      points)
+                                      values, erased)
         assert reduced == lagrange
 
 
@@ -164,7 +186,10 @@ def test_reduction_matches_subset_interpolation(m):
 @pytest.mark.parametrize("bad", ["order", -1, True])
 def test_subset_interpolation_rejects_non_elements(field, bad):
     # the reduction route, at m = 3 and at m = 11, and the counted
-    # Lagrange loop all refuse a value outside the field
-    value = field.order if bad == "order" else bad
-    with pytest.raises(ValueError, match="GF|field element"):
-        interpolate_subset(field, [(0, 1), (1, value), (2, 0)])
+    # Lagrange loop all refuse a value outside the field, at a survivor
+    # and at an erased position alike
+    values = [0] * field.n
+    values[1] = field.order if bad == "order" else bad
+    for erasures in ((), (1,), (0, 2), range(2, field.n)):
+        with pytest.raises(ValueError, match="GF|field element"):
+            interpolate_subset(field, values, erasures)

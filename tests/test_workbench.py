@@ -80,6 +80,14 @@ def test_channel_spec_validation():
         ChannelSpec(t=1, l=1, error_positions=(2,), erasure_positions=(2,))
 
 
+@pytest.mark.parametrize("count", ["t", "l"])
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_channel_spec_refuses_non_int_counts(rs73, count, bad):
+    # l=True would otherwise erase one position, t=1.0 fail in corrupt
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        corrupt(rs73, encode(rs73, (1, 1, 1)), ChannelSpec(**{count: bad}))
+
+
 def test_corrupt_validation(rs73):
     codeword = encode(rs73, (1, 1, 1))
     with pytest.raises(ValueError, match="exceeds n"):
@@ -265,6 +273,15 @@ def test_bench_validation(rs73):
         bench(rs73, 1, l=5)
     with pytest.raises(ValueError, match="t must be"):
         bench(rs73, 1, l=2, t=2)
+
+
+@pytest.mark.parametrize("count", ["trials", "l", "t"])
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_bench_refuses_non_int_counts(rs73, count, bad):
+    # True would otherwise run as 1, and 1.0 fail deep inside
+    counts = {"trials": 1, "l": 1, "t": 1, count: bad}
+    with pytest.raises(ValueError, match=f"{count} must be"):
+        bench(rs73, counts.pop("trials"), **counts)
 
 
 def test_bench_all_pipelines_agree(rs73):
