@@ -96,8 +96,7 @@ class CodeParams:
         if type(self.k) is not int or not 1 <= self.k < self.field.n:
             raise ValueError(
                 f"k must be an int in [1, {self.field.n}), got {self.k!r}")
-        if type(self.field) is Field:
-            prepare_tables(self.field)
+        prepare_tables(self.field)
 
     @property
     def n(self) -> int:
@@ -169,8 +168,7 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
     if len(syms) != params.n:
         raise ValueError(f"expected {params.n} symbols, got {len(syms)}")
     if len(erasures) >= params.d:
-        for value in syms:
-            params.field.check_element(value)
+        params.field.check_elements(syms)
         return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
 
     with _phase(counter, "0"):

@@ -1,12 +1,16 @@
 """Arithmetic in GF(2^m) with alpha = x as the generator of the nonzero elements.
 
-Field elements are plain ints in [0, 2^m).  Bit i of an element is the
-coefficient of x^i in its binary-polynomial form, so 0b110 = x^2 + x.
+Field elements are ints in [0, 2^m) whose type is exactly int, not bool
+or another subclass; Field.check_elements is the one check.  Bit i of an
+element is the coefficient of x^i in its binary-polynomial form, so
+0b110 = x^2 + x.
 A Field instance owns the log/antilog tables for one (m, prim_poly) pair,
 is immutable after construction, and may be shared freely across threads.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 # One primitive polynomial per supported degree, bit i = coefficient of x^i.
 # Construction verifies primitivity, so a bad entry here cannot go unnoticed.
@@ -48,8 +52,7 @@ class Field:
                              f"got {m!r}")
         if prim_poly is None:
             prim_poly = DEFAULT_PRIMITIVE_POLYS[m]
-        if (not isinstance(prim_poly, int) or isinstance(prim_poly, bool)
-                or prim_poly < 0):
+        if type(prim_poly) is not int or prim_poly < 0:
             raise ValueError(
                 f"prim_poly must be a nonnegative int, got {prim_poly!r}")
         if prim_poly.bit_length() != m + 1:
@@ -87,14 +90,16 @@ class Field:
         self._hash = hash((m, prim_poly))
 
     def mul(self, a: int, b: int) -> int:
-        """Product of two elements."""
+        """Product of two elements, unchecked: the counted path's inner
+        loop calls it about 239,000 times per counted gao decode of
+        RS(255,223)."""
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero element."""
-        if a == 0:
+        if self.check_element(a) == 0:
             raise ValueError("zero has no multiplicative inverse")
         return self._exp[self.n - self._log[a]]
 
@@ -104,17 +109,23 @@ class Field:
 
     def log(self, a: int) -> int:
         """Discrete log base alpha of a nonzero element, in [0, 2^m - 1)."""
-        if a == 0:
+        if self.check_element(a) == 0:
             raise ValueError("zero has no discrete log")
         return self._log[a]
 
+    def check_elements(self, values: Iterable[int]) -> list[int]:
+        """The values as a new list, each checked to be an element: an
+        exact int in [0, 2^m)."""
+        checked, order = list(values), self.order
+        for a in checked:
+            if type(a) is not int or not 0 <= a < order:
+                raise ValueError(
+                    f"field element {a!r} is outside GF(2^{self.m})")
+        return checked
+
     def check_element(self, a: int) -> int:
-        """Validate that a is a representable element and return it."""
-        if not isinstance(a, int) or isinstance(a, bool):
-            raise ValueError(f"field element must be an int, got {a!r}")
-        if not 0 <= a < self.order:
-            raise ValueError(f"value {a} is outside GF(2^{self.m})")
-        return a
+        """a, checked to be an element as by check_elements."""
+        return self.check_elements((a,))[0]
 
     @property
     def antilog_table(self) -> tuple[int, ...]:

@@ -84,7 +84,8 @@ def solve(problem: KeyEquationProblem) -> KeyEquationSolution:
         iterations += 1
 
     if v_cur[-1] != 1:  # scale so the locator is monic
-        factor = (field.inv(v_cur[-1]),)
+        # from m = 9 on the lead may be a numpy scalar, which inv refuses
+        factor = (field.inv(int(v_cur[-1])),)
         v_cur = multiply_rows(field, factor, v_cur)
         r_cur = multiply_rows(field, factor, r_cur)
     return KeyEquationSolution(locator=Poly._make(field, v_cur),

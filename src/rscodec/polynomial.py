@@ -191,7 +191,7 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
                 rem[shift + j] ^= fmul(factor, den[j])
     elif field.m <= BYTE_MAX_M:
         mul = byte_tables(field).mul
-        inv_lead = field.inv(den[dd])
+        inv_lead = field._exp[field.n - field._log[den[dd]]]
         # the divisor below its lead, monic and reversed to match rem
         tail = bytes(den)[-2::-1].translate(mul[inv_lead])
         rem = int.from_bytes(bytes(num), "big")
@@ -242,11 +242,7 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        order = field.order
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < order:
-                raise ValueError(f"coefficient {c!r} is outside GF(2^{field.m})")
+        cs = field.check_elements(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field

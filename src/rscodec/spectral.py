@@ -222,8 +222,11 @@ def prepare_tables(field: Field) -> None:
 
     Up to m = 8 the packed table below n = 255 or the byte plan at 255,
     each with polynomial's byte tables; from m = 9 on the prime-factor
-    plan, which fetches polynomial's row tables and imports numpy.
+    plan, which fetches polynomial's row tables and imports numpy.  A
+    Field subclass takes the scalar loops and needs none of them.
     """
+    if type(field) is not Field:
+        return
     if field.n < PRIME_FACTOR_MIN_N:
         _packed(field)
     elif field.m <= BYTE_MAX_M:
@@ -490,14 +493,13 @@ def interpolate_subset(field: Field, values: Sequence[int],
         locator = root_product(field, missing)
         odd = Poly._make(field, list(locator.coeffs[1::2]))
         inverses = [field.alpha_pow(
-            -e - field.log(odd.evaluate(field.alpha_pow(2 * e))))
+            -e - field._log[odd.evaluate(field.alpha_pow(2 * e))])
             for e in missing]
         # M's coefficient j is sum_e M(alpha^e) alpha^(-ej): rows (-e) mod n
         return full % Poly._make(field, list(_row_sum(
             field, [-e % n for e in missing], inverses)))
 
-    for value in values:
-        field.check_element(value)
+    field.check_elements(values)
     erased = set(missing)
     survivors = [pos for pos in range(n) if pos not in erased]
     master = root_product(field, survivors)
@@ -549,5 +551,5 @@ def _closed_form_quotient(locator: Poly) -> Poly:
     if len(roots) != len(coeffs) - 1:
         # fewer distinct roots than its degree: not a product of (x - alpha^e)
         raise ValueError("locator does not divide x^n - 1")
-    return Poly._make(field, list(_row_sum(
-        field, [-e % n for e in roots], [field.inv(odd[e]) for e in roots])))
+    return Poly._make(field, list(_row_sum(field, [-e % n for e in roots], [
+        field._exp[n - field._log[odd[e]]] for e in roots])))

@@ -79,9 +79,9 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
           strict: bool = True) -> OpCountReport:
     """Run the DECODERS pipelines side by side on seeded random trials.
 
-    trials, l and t are ints; bool and float are refused.  l is fixed for
-    the whole run.  t is either fixed or, when None, sampled per trial
-    uniformly from the decodable range 2t + l < d.
+    trials, l, t and seed are ints; bool and float are refused.  l is
+    fixed for the whole run.  t is either fixed or, when None, sampled per
+    trial uniformly from the decodable range 2t + l < d.
     strict raises ComplexityClaimError as soon as the report would record
     a violation; pass strict=False to collect the report regardless.
     Fields above BENCH_MAX_M raise ValueError.
@@ -96,6 +96,8 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
         raise ValueError(f"trials must be a nonnegative int, got {trials!r}")
     if type(l) is not int or not 0 <= l < params.d:
         raise ValueError(f"l must be an int in [0, {params.d}), got {l!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     t_max = (params.d - 1 - l) // 2
     if t is not None and (type(t) is not int or not 0 <= t <= t_max):
         raise ValueError(

@@ -124,15 +124,14 @@ def _rows(handle: TextIO, width: int, field: Field, first: int,
                 erasures.append(pos)
                 continue
             try:
-                value = _decimal(token)
+                symbols.append(_decimal(token))
             except ValueError:
                 raise BlockFormatError(
                     f"line {lineno}: bad symbol {token!r}") from None
-            if not 0 <= value < field.order:
-                raise BlockFormatError(
-                    f"line {lineno}: symbol {value} is outside "
-                    f"GF(2^{field.m})")
-            symbols.append(value)
+        try:
+            field.check_elements(symbols)
+        except ValueError as exc:
+            raise BlockFormatError(f"line {lineno}: {exc}") from None
         yield tuple(symbols), tuple(erasures)
 
 

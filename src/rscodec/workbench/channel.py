@@ -32,6 +32,9 @@ class ChannelSpec:
                for count in (self.t, self.l)):
             raise ValueError(f"t and l must be nonnegative ints, got "
                              f"{self.t!r}, {self.l!r}")
+        # Random(None) seeds from the clock: equal specs would differ
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         for name, fixed, count in (("error", self.error_positions, self.t),
                                    ("erasure", self.erasure_positions, self.l)):
             if fixed is None:

@@ -1,6 +1,8 @@
 """Command-line workbench for the codec.
 
-Subcommands: encode, corrupt, decode, bench.  decode's --algorithm takes
+Subcommands: encode, corrupt, decode, bench.  encode and bench take the
+code from --m, --k and --prim-poly; corrupt and decode read it from the
+block file's header alone.  decode's --algorithm takes
 a name from rscodec.DECODERS, or errors-only, which is suggested on
 blocks that carry no erasures and refuses blocks that do.  Exit status 0
 on success, 1 when decoding fails or bench sees suggested cost more than
@@ -28,12 +30,12 @@ class UsageError(ValueError):
     pass
 
 
-def _field_args(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--m", type=int, required=required,
+def _field_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m", type=int, required=True,
                         help="extension degree of GF(2^m)")
     parser.add_argument("--prim-poly", type=_hex_int, default=None,
                         metavar="HEX", help="primitive polynomial bits, hex")
-    parser.add_argument("--k", type=int, required=required,
+    parser.add_argument("--k", type=int, required=True,
                         help="message length")
 
 
@@ -53,17 +55,6 @@ def _io_args(parser: argparse.ArgumentParser) -> None:
 
 def _params_from_args(args: argparse.Namespace) -> CodeParams:
     return CodeParams(Field(args.m, args.prim_poly), args.k)
-
-
-def _check_params_match(args: argparse.Namespace, params: CodeParams) -> None:
-    field = params.field
-    if args.m is not None and args.m != field.m:
-        raise UsageError(f"--m {args.m} does not match file header m = {field.m}")
-    if args.k is not None and args.k != params.k:
-        raise UsageError(f"--k {args.k} does not match file header k = {params.k}")
-    if args.prim_poly is not None and args.prim_poly != field.prim_poly:
-        raise UsageError(f"--prim-poly 0x{args.prim_poly:x} does not match "
-                         f"file header 0x{field.prim_poly:x}")
 
 
 @contextlib.contextmanager
@@ -110,7 +101,6 @@ def _parse_positions(text: str, t: int, l: int) -> tuple[tuple, tuple]:
 def _cmd_corrupt(args: argparse.Namespace) -> int:
     with _open_in(args.infile) as src:
         params, blocks = blockio.read_blocks(src)
-    _check_params_match(args, params)
     error_positions = erasure_positions = None
     if args.positions is not None:
         error_positions, erasure_positions = _parse_positions(
@@ -133,7 +123,6 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 def _cmd_decode(args: argparse.Namespace) -> int:
     with _open_in(args.infile) as src:
         params, blocks = blockio.read_blocks(src)
-    _check_params_match(args, params)
     # errors-only is suggested on a block with no erasures
     decoder = DECODERS.get(args.algorithm, decode_suggested)
     failures = 0
@@ -180,12 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enc = sub.add_parser("encode", help="encode message lines into a block file")
-    _field_args(p_enc, required=True)
+    _field_args(p_enc)
     _io_args(p_enc)
     p_enc.set_defaults(handler=_cmd_encode)
 
     p_cor = sub.add_parser("corrupt", help="add errors and erasures to blocks")
-    _field_args(p_cor, required=False)
     _io_args(p_cor)
     p_cor.add_argument("--t", type=int, default=0, help="error count")
     p_cor.add_argument("--l", type=int, default=0, help="erasure count")
@@ -196,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.set_defaults(handler=_cmd_corrupt)
 
     p_dec = sub.add_parser("decode", help="decode a block file to message lines")
-    _field_args(p_dec, required=False)
     _io_args(p_dec)
     p_dec.add_argument("--algorithm",
                        choices=sorted([*DECODERS, "errors-only"]),
@@ -208,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=f"Count the field operations of every decoder on seeded "
                     f"random trials.  Counting costs O(n^2) multiplications "
                     f"per transform, so m is limited to {BENCH_MAX_M}.")
-    _field_args(p_ben, required=True)
+    _field_args(p_ben)
     p_ben.add_argument("--t", type=int, default=None,
                        help="error count; random within radius if omitted")
     p_ben.add_argument("--l", type=int, default=0, help="erasure count")

@@ -119,6 +119,14 @@ def test_stdio_paths(tmp_path, message_file, monkeypatch, capsys):
     assert out.splitlines() == ["1 2 3", "0 0 5", "7 7 7"]
 
 
+def test_decode_and_corrupt_take_the_code_from_the_header(capsys):
+    for command in ("decode", "corrupt"):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for flag in ("--m", "--k", "--prim-poly"):
+            assert flag not in out
+
+
 def test_usage_errors(tmp_path, message_file, capsys):
     blocks = tmp_path / "blocks.txt"
     main(encode_args(message_file, str(blocks)))
@@ -130,8 +138,9 @@ def test_usage_errors(tmp_path, message_file, capsys):
     # n is 2^m - 1, so there is no --n flag
     assert main(["encode", "--m", "3", "--k", "3", "--n", "7",
                  "--in", message_file]) == 2
-    # header mismatch against explicit flags
+    # the header alone states the code, so decode takes no --k
     assert main(["decode", "--k", "5", "--in", str(blocks)]) == 2
+    assert "unrecognized arguments: --k 5" in capsys.readouterr().err
     # missing input file
     assert main(["decode", "--in", str(tmp_path / "nope.txt")]) == 2
     # malformed header

@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -21,6 +22,13 @@ from rscodec import (
     erasure_locator,
 )
 from rscodec.workbench import CountingField, OpCounter
+
+
+class Symbol(IntEnum):
+    """An int subclass: Symbol.ONE == 1, but it is no field element."""
+
+    ONE = 1
+
 
 ERASURE_DECODERS = (decode_gao, decode_truong, decode_suggested)
 
@@ -62,7 +70,7 @@ def test_encode_worked_example(rs73):
 def test_encode_validation(rs73):
     with pytest.raises(ValueError, match="must have 3 symbols"):
         encode(rs73, (1, 2))
-    for bad in (8, 255, -1, True, 1.0, "1", None):
+    for bad in (8, 255, -1, True, 1.0, "1", None, Symbol.ONE):
         with pytest.raises(ValueError, match="outside GF"):
             encode(rs73, (1, 2, bad))
 
@@ -117,8 +125,9 @@ def test_decode_validation(rs73):
         decode_gao(rs73, ReceivedWord((1, 2, 3)))
 
 
-# out of range, negative, bool and float: none is an element of GF(8)
-BAD_SYMBOLS = (8, -1, True, 1.0)
+# out of range, negative, bool, float and an int subclass: none is an
+# element of GF(8)
+BAD_SYMBOLS = (8, -1, True, 1.0, Symbol.ONE)
 
 
 @pytest.mark.parametrize("counted", [False, True], ids=["plain", "counted"])

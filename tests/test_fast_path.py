@@ -426,6 +426,9 @@ def key_equation_problems(draw):
 @example((8, [1] + [0] * 254 + [1], list(range(1, 200)), 255))  # at deg
 @example((4, [3] * (ROW_KERNEL_MIN_LEN - 1), [1, 2, 3] * 9, 4))
 @example((4, [3] * ROW_KERNEL_MIN_LEN, [1, 2, 3] * 9, 4))
+# one iteration leaves the cofactor 2 x^31, a numpy row whose lead 2 is a
+# numpy scalar, so the final scaling inverts it
+@example((9, [0] * ROW_KERNEL_MIN_LEN + [2], [0, 1], 1))
 def test_solve_matches_scalar(case):
     m, modulus, known, stop = case
     solutions = []

@@ -1,11 +1,20 @@
 """GF(2^m) context: tables, operations, and field axioms."""
 
 import random
+from enum import IntEnum
 
 import pytest
 
 from bruteforce import slow_inv, slow_mul
 from rscodec import DEFAULT_PRIMITIVE_POLYS, Field
+from rscodec.workbench import CountingField, OpCounter
+
+
+class Code(IntEnum):
+    """Int subclass members: equal to elements, but not exact ints."""
+
+    THREE = 3
+    POLY8 = 0x11D
 
 
 @pytest.mark.parametrize("m", sorted(DEFAULT_PRIMITIVE_POLYS))
@@ -77,6 +86,20 @@ def test_log_of_zero_raises(gf8):
         gf8.log(0)
 
 
+@pytest.mark.parametrize("field", [Field(8), Field(9),
+                                   CountingField(Field(8), OpCounter())],
+                         ids=["m8", "m9", "counted"])
+def test_log_and_inv_check_their_argument(field):
+    # -1 read the table from its end and answered for 2^m - 1, 2^m ran
+    # off it, and True answered for 1
+    for bad in (-1, field.order, True, Code.THREE):
+        with pytest.raises(ValueError, match="field element"):
+            field.log(bad)
+        with pytest.raises(ValueError, match="field element"):
+            field.inv(bad)
+    assert field.log(1) == 0 and field.inv(1) == 1
+
+
 def test_log_antilog_round_trip(gf16):
     for e in range(1, gf16.order):
         assert gf16.alpha_pow(gf16.log(e)) == e
@@ -143,7 +166,8 @@ def test_rejects_poly_divisible_by_x():
         Field(4, 0x1A)
 
 
-@pytest.mark.parametrize("prim_poly", [-0x11D, -0x1E3, 285.0, True, "11d"])
+@pytest.mark.parametrize("prim_poly",
+                         [-0x11D, -0x1E3, 285.0, True, "11d", Code.POLY8])
 def test_rejects_negative_or_non_int_poly(prim_poly):
     # -0x11D has bit length 9 and an odd low bit, so only the sign check
     # stops it before the table build indexes with a negative element
@@ -175,6 +199,11 @@ def test_check_element(gf8):
         gf8.check_element("3")
     with pytest.raises(ValueError):
         gf8.check_element(True)
+    with pytest.raises(ValueError, match="field element"):
+        gf8.check_element(Code.THREE)
+    assert gf8.check_elements((7, 0, 3)) == [7, 0, 3]
+    with pytest.raises(ValueError, match="outside GF"):
+        gf8.check_elements([1, Code.THREE])
 
 
 def test_equality_and_hash():

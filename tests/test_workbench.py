@@ -88,6 +88,16 @@ def test_channel_spec_refuses_non_int_counts(rs73, count, bad):
         corrupt(rs73, encode(rs73, (1, 1, 1)), ChannelSpec(**{count: bad}))
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, True], ids=repr)
+def test_channel_and_bench_refuse_a_non_int_seed(rs73, seed):
+    # Random(None) seeds from the clock: two equal specs corrupted
+    # differently
+    with pytest.raises(ValueError, match="seed must be an int"):
+        ChannelSpec(t=1, l=1, seed=seed)
+    with pytest.raises(ValueError, match="seed must be an int"):
+        bench(rs73, 1, l=1, seed=seed)
+
+
 def test_corrupt_validation(rs73):
     codeword = encode(rs73, (1, 1, 1))
     with pytest.raises(ValueError, match="exceeds n"):
