@@ -8,20 +8,20 @@ Four decoders recover the message whenever 2t + l < d for t symbol
 errors and l erasures.  Each is a thin entry over one pipeline, _decode,
 whose steps carry the labels a counter= argument sees: 0 builds the
 erasure locator L (1 when nothing is erased); 1 interpolates; 2a prepares
-the known polynomial, the modulus and an optional divisor factor; 2b
-reduces known modulo the modulus and finds W and P with W * known = P
-(mod modulus) by one partial extended Euclidean solve; 3 divides P by W,
-times the factor if any.  The solve's stop degree already bounds deg W
-by (d - 1 - l) / 2, so step 3 needs no separate radius check.  Steps 1
-and 2a are each algorithm's own:
+the modulus, the known polynomial reduced below it and an optional
+divisor factor; 2b finds W and P with W * known = P (mod modulus) by one
+partial extended Euclidean solve; 3 divides P by W, times the factor if
+any.  The solve's stop degree already bounds deg W by (d - 1 - l) / 2, so
+step 3 needs no separate radius check.  Steps 1 and 2a are each
+algorithm's own:
 
   decode_gao           interpolate_subset: the n - l non-erased positions
                        only, from the word and its erasures; modulus
                        (x^n - 1) / L
   decode_truong        interpolate the full zero-filled vector R; known
                        R * L folded mod x^n - 1, modulus x^n - 1, factor L
-  decode_suggested     interpolate R; modulus (x^n - 1) / L, which step 2b
-                       reduces R against
+  decode_suggested     interpolate R; known R mod (x^n - 1) / L, the
+                       modulus
   decode_errors_only   decode_suggested with no erasures, so the modulus
                        is x^n - 1 itself
 
@@ -53,7 +53,7 @@ from .galois import Field
 from .key_equation import KeyEquationProblem, solve
 from .polynomial import Poly, root_product, xn_minus_one
 from .spectral import (check_positions, cyclotomic_quotient, evaluate_all,
-                       interpolate_all, interpolate_subset, prepare_tables)
+                       interpolate_all, interpolate_subset)
 
 
 class FailureCause(Enum):
@@ -83,11 +83,7 @@ class DecodeResult:
 
 @dataclass(frozen=True)
 class CodeParams:
-    """An RS(n, k) code; n is fixed at 2^m - 1 by the field.
-
-    A plain Field's transform and kernel tables are built, and from m = 9
-    on numpy is imported, here rather than in the first encode or decode.
-    """
+    """An RS(n, k) code; n is fixed at 2^m - 1 by the field."""
 
     field: Field
     k: int
@@ -96,7 +92,6 @@ class CodeParams:
         if type(self.k) is not int or not 1 <= self.k < self.field.n:
             raise ValueError(
                 f"k must be an int in [1, {self.field.n}), got {self.k!r}")
-        prepare_tables(self.field)
 
     @property
     def n(self) -> int:
@@ -157,8 +152,9 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
     """The pipeline every decoder runs; see the module docstring.
 
     interpolate(field, symbols, erasures) is step 1.  prepare(received,
-    locator) is step 2a and returns (known, modulus, factor), where
-    factor is None or a polynomial that step 3 divides out besides W.
+    locator) is step 2a and returns (known, modulus, factor), where known
+    is already below the modulus in degree, as KeyEquationProblem checks,
+    and factor is None or a polynomial that step 3 divides out besides W.
     ReceivedWord checks and sorts the erasures.  Step 1 range-checks every
     symbol, erased ones included, so only the early return, which skips
     step 1, checks them here; interpolate_subset, being public, checks the
@@ -180,7 +176,7 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
     with _phase(counter, "2b"):
         factor_degree = 0 if factor is None else factor.degree
         solution = solve(KeyEquationProblem(
-            modulus=modulus, known=known % modulus,
+            modulus=modulus, known=known,
             stop_degree=(modulus.degree + params.k + factor_degree + 1) // 2))
         if counter is not None:
             counter.add_iterations(solution.iterations)
@@ -205,7 +201,8 @@ def _interpolate_all(field: Field, symbols, erasures) -> Poly:
 
 
 def _reduced_modulus(received: Poly, locator: Poly):
-    return received, cyclotomic_quotient(locator, received.field.n), None
+    modulus = cyclotomic_quotient(locator, received.field.n)
+    return received % modulus, modulus, None
 
 
 def _locator_product(received: Poly, locator: Poly):

@@ -42,9 +42,8 @@ length N is N^2 translates.  Its tables hold about 0.5 MB.
 numpy is imported on first use, never at import, and only from m = 9 on:
 by the prime-factor kernel, by the computed rows below and by the numpy
 rows of polynomial's kernels.  Up to m = 8 every kernel works on bytes,
-so a process that only uses m <= 8 never imports numpy.
-prepare_tables(field) builds a field's tables, and from m = 9 on imports
-numpy, ahead of the first transform; CodeParams calls it.
+so a process that only uses m <= 8 never imports numpy.  Every table in
+this module is built on first use and cached per field.
 
 The numpy prime-factor kernel follows a plan built on first use and
 cached per field.  n splits into pairwise coprime prime powers n_1 ... n_K
@@ -214,25 +213,6 @@ def _byte_plan(field: Field) -> _BytePlan:
                        for j in range(n))
     return _BytePlan(columns, _packed_rows(field, c_len, n // c_len), scales,
                      blocks, out, power_rows)
-
-
-def prepare_tables(field: Field) -> None:
-    """Build the tables a plain Field's transforms and kernels read, ahead
-    of use.
-
-    Up to m = 8 the packed table below n = 255 or the byte plan at 255,
-    each with polynomial's byte tables; from m = 9 on the prime-factor
-    plan, which fetches polynomial's row tables and imports numpy.  A
-    Field subclass takes the scalar loops and needs none of them.
-    """
-    if type(field) is not Field:
-        return
-    if field.n < PRIME_FACTOR_MIN_N:
-        _packed(field)
-    elif field.m <= BYTE_MAX_M:
-        _byte_plan(field)
-    else:
-        _plan(field)
 
 
 class _Plan(NamedTuple):

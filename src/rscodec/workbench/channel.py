@@ -55,10 +55,11 @@ def corrupt(params: CodeParams, codeword, spec: ChannelSpec) -> ReceivedWord:
     """Apply a ChannelSpec to a codeword.
 
     The output differs from the input in exactly the error positions and
-    is zero-filled at the erasure positions.
+    is zero-filled at the erasure positions.  Every codeword symbol must
+    be a field element, erased ones included.
     """
     n = params.n
-    symbols = list(codeword)
+    symbols = params.field.check_elements(codeword)
     if len(symbols) != n:
         raise ValueError(f"expected {n} symbols, got {len(symbols)}")
     if spec.t + spec.l > n:

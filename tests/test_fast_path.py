@@ -385,15 +385,17 @@ for m, k, t, l in ((4, 7, 2, 4), (8, 223, 8, 16), (8, 127, 32, 64)):
         assert out.read_text() == messages.read_text()
 assert "numpy" not in sys.modules, "a field with m <= 8 imported numpy"
 assert spectral._plan.cache_info().currsize == 0
-CodeParams(Field(9), 479)
-assert "numpy" in sys.modules, "CodeParams at m = 9 left numpy to the encode"
+params = CodeParams(Field(9), 479)
+assert "numpy" not in sys.modules, "CodeParams at m = 9 imported numpy"
+encode(params, range(479))
+assert "numpy" in sys.modules, "the first encode at m = 9 left numpy out"
 assert spectral._plan.cache_info().currsize == 1
 """
 
 
 def test_small_fields_never_import_numpy(tmp_path):
     # a fresh interpreter, since this one has numpy loaded; at m = 9 the
-    # import and the plan belong to CodeParams, not to the first encode
+    # import and the plan belong to the first encode, not to CodeParams
     source = Path(spectral.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(source))
     proc = subprocess.run([sys.executable, "-c", NUMPY_FREE, str(tmp_path)],

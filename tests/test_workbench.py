@@ -112,6 +112,14 @@ def test_corrupt_validation(rs73):
                 ChannelSpec(t=1, l=0, error_positions=(True,)))
 
 
+def test_corrupt_refuses_non_elements(rs73):
+    # every symbol is an exact int element, erased ones included
+    with pytest.raises(ValueError, match="field element"):
+        corrupt(rs73, (99, True, 2, 3, 4, 5, 6), ChannelSpec(l=1, seed=1))
+    with pytest.raises(ValueError, match="field element"):
+        corrupt(rs73, (1.0,) * 7, ChannelSpec(t=7))
+
+
 # ----------------------------------------------------------------- oracle
 
 def test_oracle_recovers_within_radius(rs73):
@@ -363,8 +371,8 @@ def test_bench_claim_on_small_code(rs73):
 def test_bench_claim_fails_with_few_errors_at_large_l():
     # The claim holds at the radius on the pinned cases and the perfbench
     # workloads, but not always.  At RS(255,127) with l = 32 and t = 10,
-    # suggested pays two counted 223 x 32 divisions, (x^n - 1) / L in
-    # step 2a and known % modulus in step 2b, and so spends more
+    # suggested pays two counted 223 x 32 divisions, (x^n - 1) / L and
+    # known % modulus, both in step 2a, and so spends more
     # multiplications than truong in as many iterations.
     params = CodeParams(Field(8), 127)
     report = bench(params, 1, l=32, seed=88, strict=False)
