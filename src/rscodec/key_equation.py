@@ -16,15 +16,15 @@ solve runs the recurrence on coefficient rows and leaves all arithmetic to
 polynomial's row kernels: each division is one divide_rows call, and
 each cofactor update one multiply_rows call, as is each half of the
 final scaling, made only when the last cofactor is not already monic.
-The kernels choose their arithmetic from the field, so a plain Field
-takes the table-driven rows and a CountingField the scalar loops, in
-which every product goes through field.mul and is counted.
+On a CountingField the kernels count their own schoolbook products, and
+the solve counts the one inversion of that scaling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .galois import Field
 from .polynomial import Poly, divide_rows, multiply_rows
 
 
@@ -86,6 +86,8 @@ def solve(problem: KeyEquationProblem) -> KeyEquationSolution:
     if v_cur[-1] != 1:  # scale so the locator is monic
         # from m = 9 on the lead may be a numpy scalar, which inv refuses
         factor = (field.inv(int(v_cur[-1])),)
+        if type(field) is not Field:  # the kernels count the products
+            field.counter.add(0, 1)
         v_cur = multiply_rows(field, factor, v_cur)
         r_cur = multiply_rows(field, factor, r_cur)
     return KeyEquationSolution(locator=Poly._make(field, v_cur),

@@ -9,23 +9,28 @@ Every product and division goes through one of two row kernels,
 multiply_rows and divide_rows, which the key-equation solver shares and
 Poly's product, division and scaling call once each; a row is one
 operand scaled by one term of the other.  Each kernel alone chooses its
-arithmetic from the field.  A Field subclass, such as the workbench's
-CountingField, takes scalar loops that route every product through
-field.mul and every inversion through field.inv, so the subclass sees
-them all.  On a plain Field up to BYTE_MAX_M = 8 every element fits in a
-byte, so a row is a bytes object with one coefficient per byte: scaling
-is one bytes.translate through a 256-byte table of byte_tables, and
-adding rows is one XOR of the rows read as ints, and numpy is never
+arithmetic from the field's m.  Up to BYTE_MAX_M = 8 every element fits
+in a byte, so a row is a bytes object with one coefficient per byte:
+scaling is one bytes.translate through a 256-byte table of byte_tables,
+and adding rows is one XOR of the rows read as ints, and numpy is never
 imported.  From m = 9 on each kernel takes its path from one operand's
 length, the longer factor of a product or the divisor of a division.
 Below ROW_KERNEL_MIN_LEN coefficients it loops inline over the
 log/antilog tables and skips zero terms; from it each row is a single
 numpy gather-and-XOR, numpy imported on the first such row.  The
-erasure-locator product root_product multiplies one factor at a time
-through multiply_rows, except on a plain Field up to BYTE_MAX_M, where it
-keeps one packed int.  Evaluation keeps its own loop, scalar on a
-subclass and over the tables on a plain Field.  All paths give
+erasure-locator product root_product keeps one packed int up to
+BYTE_MAX_M and multiplies one factor at a time through multiply_rows
+above it.  Evaluation is Horner's rule over the tables.  All paths give
 bit-identical results, as plain ints.
+
+The workbench's CountingField runs the same arithmetic and adds to its
+counter what the schoolbook algorithm spends on operands of that shape:
+len(a) * len(b) multiplications for a product; q * (dd + [lead != 1])
+multiplications and [lead != 1] inversions for a division with q
+quotient terms by a divisor of degree dd; len(coeffs) for an evaluation;
+and l (l + 1) for a product of l roots, one multiply_rows by
+(x - alpha^e) per root.  tests/reference.py holds those schoolbook loops,
+counting their own products.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ ROW_KERNEL_MIN_LEN = 32
 
 
 class ByteTables(NamedTuple):
-    """The byte kernels' tables of a plain Field with m <= BYTE_MAX_M.
+    """The byte kernels' tables of a field with m <= BYTE_MAX_M.
 
     shift[s] maps a log L < n to alpha^(L + s) and every byte from n on to
     0.  mul[c] maps a to c * a, so row.translate(mul[c]) is the row scaled
@@ -70,7 +75,7 @@ class ByteTables(NamedTuple):
 
 @cache
 def byte_tables(field: Field) -> ByteTables:
-    """A plain Field's byte tables, for m <= BYTE_MAX_M.
+    """A field's byte tables, for m <= BYTE_MAX_M.
 
     Field hashes by (m, prim_poly), so each field's tables are built once
     per process; at m = 8 they hold 511 strings of 256 bytes.
@@ -86,7 +91,7 @@ def byte_tables(field: Field) -> ByteTables:
 
 @cache
 def row_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Antilog and log tables of a plain Field as read-only intp arrays.
+    """Antilog and log tables of a field as read-only intp arrays.
 
     exp[e] = alpha^e for 0 <= e < 3n and is zero from 3n to 5n, and log
     maps 0 to 3n.  So exp[e:][log a] = exp[log a + e] is a * alpha^e for
@@ -112,10 +117,8 @@ def multiply_rows(field: Field, a: Row, b: Row, add: Row = ()) -> Row:
     a and b are coefficient rows, lists, tuples, bytes or intp arrays of
     elements, and add is no longer than the product.  Each term of the
     shorter factor adds one row, the longer factor scaled by that term.
-    On a Field subclass every term does, zero terms included, each of its
-    products goes through field.mul, and the result is a list.  On a plain
-    Field only the nonzero terms do.  Up to BYTE_MAX_M a row is one
-    translate and one int XOR, and the result is bytes.  From m = 9 on,
+    Only the nonzero terms do.  Up to BYTE_MAX_M a row is one translate
+    and one int XOR, and the result is bytes.  From m = 9 on,
     below ROW_KERNEL_MIN_LEN coefficients in the longer factor the product
     is an inline loop over both factors' nonzero terms and the result a
     list; from it a row is one numpy gather and the result an intp array.
@@ -123,13 +126,8 @@ def multiply_rows(field: Field, a: Row, b: Row, add: Row = ()) -> Row:
     if len(a) < len(b):
         a, b = b, a
     size = len(a) + len(b) - 1
-    if type(field) is not Field:
-        fmul = field.mul
-        out = [*add] + [0] * (size - len(add))
-        for j, c in enumerate(b):
-            for i, d in enumerate(a, j):
-                out[i] ^= fmul(c, d)
-        return out
+    if type(field) is not Field:  # the schoolbook count, zero terms included
+        field.counter.add(len(a) * len(b))
     if field.m <= BYTE_MAX_M:
         mul, a = byte_tables(field).mul, bytes(a)
         acc = int.from_bytes(bytes(add), "little")
@@ -165,11 +163,7 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
 
     num and den are coefficient rows as in multiply_rows, num at least as
     long as den and den with a nonzero lead.  Returns the quotient and the
-    remainder without trailing zeros.  On a Field subclass both are lists;
-    field.inv runs once when the divisor is not monic and never when it
-    is, and each quotient term takes one field.mul by that inverse, if
-    any, and one per divisor coefficient below the lead, zero terms
-    included.  On a plain Field up to BYTE_MAX_M both are bytes: the
+    remainder without trailing zeros.  Up to BYTE_MAX_M both are bytes: the
     remainder is one int, num with its lead in the low byte, and each step
     clears that byte with one translate of the divisor, one XOR and one
     shift.  From m = 9 on the quotient is a list; below ROW_KERNEL_MIN_LEN
@@ -180,16 +174,11 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
     """
     dd = len(den) - 1
     if type(field) is not Field:
-        fmul = field.mul
-        inv_lead = None if den[dd] == 1 else field.inv(den[dd])
-        rem, quot = list(num), [0] * (len(num) - dd)
-        for shift in range(len(quot) - 1, -1, -1):
-            cur = rem[shift + dd]
-            factor = cur if inv_lead is None else fmul(cur, inv_lead)
-            quot[shift] = factor
-            for j in range(dd):
-                rem[shift + j] ^= fmul(factor, den[j])
-    elif field.m <= BYTE_MAX_M:
+        # the schoolbook count: one inversion of a lead other than 1, and
+        # per quotient term one product by it and one per lower term
+        inverts = 0 if den[dd] == 1 else 1
+        field.counter.add((len(num) - dd) * (dd + inverts), inverts)
+    if field.m <= BYTE_MAX_M:
         mul = byte_tables(field).mul
         inv_lead = field._exp[field.n - field._log[den[dd]]]
         # the divisor below its lead, monic and reversed to match rem
@@ -204,33 +193,32 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
                 rem ^= int.from_bytes(tail.translate(mul[top]), "little")
         return (bytes(tops)[::-1].translate(mul[inv_lead]),
                 rem.to_bytes(dd, "big").rstrip(b"\0"))
-    else:
-        exp, log, n = field._exp, field._log, field.n
-        # log of 1/lead, so log(cur / lead) = log(cur) + inv_lead_log
-        inv_lead_log = n - log[den[dd]]
-        quot = [0] * (len(num) - dd)
-        rows = len(den) >= ROW_KERNEL_MIN_LEN
-        if rows:
-            import numpy as np
+    exp, log, n = field._exp, field._log, field.n
+    # log of 1/lead, so log(cur / lead) = log(cur) + inv_lead_log
+    inv_lead_log = n - log[den[dd]]
+    quot = [0] * (len(num) - dd)
+    rows = len(den) >= ROW_KERNEL_MIN_LEN
+    if rows:
+        import numpy as np
 
-            exp_rows, log_rows = row_tables(field)
-            rem = np.asarray(num, dtype=np.intp)
-            den_logs = log_rows[np.asarray(den, dtype=np.intp)]
-        else:  # an array num is a Euclid remainder from before the rows ended
-            rem = list(num) if isinstance(num, (list, tuple)) else num.tolist()
-            den_logs = [(j, log[c]) for j, c in enumerate(den[:dd]) if c]
-        for shift in range(len(quot) - 1, -1, -1):
-            cur = rem[shift + dd]
-            if cur:
-                lf = log[cur] + inv_lead_log
-                if lf >= n:
-                    lf -= n
-                quot[shift] = exp[lf]
-                if rows:  # the divisor's lead clears rem[shift + dd] too
-                    rem[shift:shift + dd + 1] ^= exp_rows[lf:][den_logs]
-                else:
-                    for j, ld in den_logs:
-                        rem[shift + j] ^= exp[lf + ld]
+        exp_rows, log_rows = row_tables(field)
+        rem = np.asarray(num, dtype=np.intp)
+        den_logs = log_rows[np.asarray(den, dtype=np.intp)]
+    else:  # an array num is a Euclid remainder from before the rows ended
+        rem = list(num) if isinstance(num, (list, tuple)) else num.tolist()
+        den_logs = [(j, log[c]) for j, c in enumerate(den[:dd]) if c]
+    for shift in range(len(quot) - 1, -1, -1):
+        cur = rem[shift + dd]
+        if cur:
+            lf = log[cur] + inv_lead_log
+            if lf >= n:
+                lf -= n
+            quot[shift] = exp[lf]
+            if rows:  # the divisor's lead clears rem[shift + dd] too
+                rem[shift:shift + dd + 1] ^= exp_rows[lf:][den_logs]
+            else:
+                for j, ld in den_logs:
+                    rem[shift + j] ^= exp[lf + ld]
     while dd and not rem[dd - 1]:
         dd -= 1
     return quot, rem[:dd]
@@ -346,18 +334,15 @@ class Poly:
         """Value of the polynomial at the element at, by Horner's rule."""
         f = self.field
         f.check_element(at)
+        if type(f) is not Field:  # Horner's count, one product per term
+            f.counter.add(len(self.coeffs))
+        if not at:
+            return self.coeffs[0] if self.coeffs else 0
+        exp, log = f._exp, f._log
+        la = log[at]
         acc = 0
-        if type(f) is Field:
-            if not at:
-                return self.coeffs[0] if self.coeffs else 0
-            exp, log = f._exp, f._log
-            la = log[at]
-            for c in reversed(self.coeffs):
-                acc = exp[log[acc] + la] ^ c if acc else c
-            return acc
-        fmul = f.mul
         for c in reversed(self.coeffs):
-            acc = fmul(acc, at) ^ c
+            acc = exp[log[acc] + la] ^ c if acc else c
         return acc
 
     def __eq__(self, other: object) -> bool:
@@ -388,20 +373,21 @@ def xn_minus_one(field: Field, n: int) -> Poly:
 def root_product(field: Field, exponents: Iterable[int]) -> Poly:
     """Monic product of (x - alpha^e) over the exponents, e in [0, n).
 
-    On a plain Field up to BYTE_MAX_M the product is one int, a byte per
-    coefficient, and (x - a) p = x p + a p is one shift, one translate and
-    one XOR.  Every other field multiplies the product's row by one factor
-    at a time through multiply_rows, so from m = 9 on the row kernels
-    choose the arithmetic, and on a Field subclass every product goes
-    through field.mul.
+    Up to BYTE_MAX_M the product is one int, a byte per coefficient, and
+    (x - a) p = x p + a p is one shift, one translate and one XOR.  From
+    m = 9 on the product's row is multiplied by one factor at a time
+    through multiply_rows, so the row kernels choose the arithmetic.
+    Either way a CountingField counts l (l + 1) products for l roots.
     """
-    if type(field) is Field and field.m <= BYTE_MAX_M:
+    if field.m <= BYTE_MAX_M:
         exp, mul = field._exp, byte_tables(field).mul
         product, size = 1, 1
         for e in exponents:
             product = (product << 8) ^ int.from_bytes(product.to_bytes(
                 size, "little").translate(mul[exp[e]]), "little")
             size += 1
+        if type(field) is not Field:  # multiply_rows' count, root by root
+            field.counter.add(size * (size - 1))
         return Poly._make(field, product.to_bytes(size, "little"))
     row = (1,)
     for e in exponents:

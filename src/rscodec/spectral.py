@@ -5,25 +5,27 @@ value vector is the spectrum of a polynomial of degree < n.  n is odd,
 which makes n * x = x in characteristic 2; the inverse transform therefore
 needs no 1/n scaling.  Both directions are the same length-n DFT over the
 powers of alpha: interpolate_all is evaluate_all of the value vector read
-at alpha^-j, so only evaluate_all chooses a path, by the field context:
+at alpha^-j, so only evaluate_all chooses a path, by n:
 
-  packed table  a plain Field with n < PRIME_FACTOR_MIN_N = 255 (m <= 7),
-                in pure Python.
-  byte plan     a plain Field with n = 255 (m = 8), a packed prime-factor
-                transform in pure Python.
-  prime-factor kernel  a plain Field with a composite n > 255, in numpy.
-                All arithmetic is in the log domain: log maps 0 to 3n and
-                exp is zero from 3n on, so a zero coefficient adds
-                exp[3n + e] = 0 with no mask.
-  computed rows  a plain Field with the prime n = 8191 (m = 13), which
-                has no factors to split: every row of the DFT, computed
-                in numpy in the same log domain.
-  Horner loop   a CountingField only: n Horner evaluations through
-                Poly.evaluate, O(n^2) counted multiplications, so the
-                workbench's operation counts are those of the schoolbook
-                transform.
+  packed table  n < PRIME_FACTOR_MIN_N = 255 (m <= 7), in pure Python.
+  byte plan     n = 255 (m = 8), a packed prime-factor transform in pure
+                Python.
+  prime-factor kernel  a composite n > 255, in numpy.  All arithmetic is
+                in the log domain: log maps 0 to 3n and exp is zero from
+                3n on, so a zero coefficient adds exp[3n + e] = 0 with no
+                mask.
+  computed rows  the prime n = 8191 (m = 13), which has no factors to
+                split: every row of the DFT, computed in numpy in the same
+                log domain.
 
 The paths are bit-exact, and all return plain ints.
+
+A CountingField runs the same paths and counts what the schoolbook
+algorithms the decoders are stated in would spend: a transform is n Horner
+evaluations, n * len(coeffs) multiplications; cyclotomic_quotient is the
+long division of x^n - 1 by the locator, counted as divide_rows counts it;
+interpolate_subset is the Lagrange loop below.  tests/reference.py holds
+those algorithms, counting their own products.
 
 The packed table has one row per coefficient index j and, in each row,
 one int per element c: rows[j][c] holds the n products c * alpha^(i*j),
@@ -73,8 +75,8 @@ x = i*j < n^2, x mod n is congruent to (x & n) + (x >> m), which is
 below 2n, and exp is periodic up to 3n.  The two sparse reads below, of
 the l rows at the roots of an erasure locator, go through it as well.
 
-cyclotomic_quotient, Q = (x^n - 1) / locator, has two paths as well.  A
-plain Field takes a closed form when 1 <= deg(locator) < n.
+cyclotomic_quotient, Q = (x^n - 1) / locator, takes a closed form when
+1 <= deg(locator) < n.
 Differentiating x^n - 1 = locator * Q gives
 x^(n-1) = locator' * Q at each root a = alpha^e of the locator, since
 locator(a) = 0 and n is odd, so
@@ -84,31 +86,31 @@ locator(a) = 0 and n is odd, so
 where locator_odd, the odd-degree terms, equals x * locator'.  Q vanishes
 at every other alpha^i, and deg Q < n, so Q is _row_sum over only the
 l root rows (-e) mod n.  The roots are where the even and odd terms,
-each _row_sum over their own rows, agree.  A CountingField, and a
-locator of degree 0 or n, takes the long division of x^n - 1.
+each _row_sum over their own rows, agree.  A locator of degree 0 or n
+takes the long division of x^n - 1.
 
 interpolate_subset(field, values, erasures) interpolates the n - l
 positions that are not erased.  The values at the erased positions must
-be field elements but do not change the result.  It has two paths:
+be field elements but do not change the result.  It computes P mod M,
+where P interpolates all n values and M = (x^n - 1) / locator is the
+product of (x - alpha^i) over the survivors, locator the product over the
+l missing positions.  P mod M has degree < n - l and equals P, hence the
+value, at every survivor, whatever P is at the missing positions, so it
+is the unique interpolant.  M is built from its values: the positions are
+known, so no root search is needed, and
+M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e is one Horner
+evaluation of the odd part, followed by the same _row_sum over the l root
+rows as the closed form.
+The locator and the Horner evaluations cost O(l^2), so with fewer
+survivors than missing positions M is root_product of the survivors.
 
-  reduction     a plain Field: P mod M, where P interpolates all n values
-                and M = (x^n - 1) / locator is the product of
-                (x - alpha^i) over the survivors, locator the product over
-                the l missing positions.  P mod M has degree < n - l and
-                equals P, hence the value, at every survivor, whatever P
-                is at the missing positions, so it is the unique
-                interpolant.  M is built from its values: the positions
-                are known, so no root search is needed, and
-                M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e is
-                one Horner evaluation of the odd part, followed by the
-                same _row_sum over the l root rows as the closed form.
-                The locator and the Horner evaluations cost O(l^2), so
-                with fewer survivors than missing positions M is
-                root_product of the survivors.
-  Lagrange loop a CountingField only: root_product of the survivors, then
-                one basis division and evaluation per survivor, in
-                ascending order, so the workbench counts the paper's gao
-                interpolation.
+The paper's gao interpolation is instead the Lagrange loop over the
+s = n - l survivors: their product, s (s + 1) multiplications, then per
+survivor one division of it by (x - alpha^pos), one evaluation of the
+quotient, one inversion, one product and one scaling, 3s + 1
+multiplications.  A CountingField counts those 4s^2 + 2s multiplications
+and s inversions and computes P mod M on its base field, so that the
+transform, locator and division inside are not counted again.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def _packed_rows(field: Field, size: int, step: int
 
 @cache
 def _packed(field: Field) -> tuple[tuple[int, ...], ...]:
-    """The packed table of a plain Field with n < 255, read-only.
+    """The packed table of a field with n < 255, read-only.
 
     Field hashes by (m, prim_poly), so each field's table is built once
     per process.
@@ -189,7 +191,7 @@ class _BytePlan(NamedTuple):
 
 @cache
 def _byte_plan(field: Field) -> _BytePlan:
-    """The tables of a plain Field with n = 255 (m = 8); see _BytePlan.
+    """The tables of a field with n = 255 (m = 8); see _BytePlan.
 
     Field hashes by (m, prim_poly), so each field's tables are built once
     per process.  With polynomial's byte tables they hold about 0.5 MB; a
@@ -256,7 +258,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @cache
 def _plan(field: Field) -> _Plan:
-    """The kernel's plan for a plain Field with n >= 255; see the module
+    """The kernel's plan for a field with n >= 255; see the module
     docstring.
 
     Field hashes by (m, prim_poly), so each field's plan is built once
@@ -399,8 +401,8 @@ def evaluate_all(p: Poly, n: int) -> tuple[int, ...]:
         raise ValueError(f"n must be {field.n} for GF(2^{field.m}), got {n}")
     if len(p.coeffs) > n:
         raise ValueError(f"degree {p.degree} is not below n = {n}")
-    if type(field) is not Field:
-        return tuple(p.evaluate(field.alpha_pow(i)) for i in range(n))
+    if type(field) is not Field:  # n Horner evaluations
+        field.counter.add(n * len(p.coeffs))
     if n == PRIME_FACTOR_MIN_N:
         return _byte_dft(field, p.coeffs)
     if n > PRIME_FACTOR_MIN_N and _plan(field).tables is not None:
@@ -455,43 +457,34 @@ def interpolate_subset(field: Field, values: Sequence[int],
     if len(missing) == n:
         raise ValueError("every position is erased")
 
-    if type(field) is Field:
-        # P mod M, see the module docstring
-        full = interpolate_all(field, values)
-        if not missing:
-            return full
-        if n <= 2 * len(missing):
-            # fewer survivors than missing positions: M is their product
-            erased = set(missing)
-            return full % root_product(
-                field, [pos for pos in range(n) if pos not in erased])
-        # M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e, where
-        # locator_odd(alpha^e) = alpha^e * odd(alpha^2e) for the polynomial
-        # odd holding the locator's odd-degree coefficients.  Horner's rule
-        # at l points costs l^2 / 2 products, _row_sum l n / 2, and it keeps
-        # Poly.evaluate, whose span perfbench reads, on the decode path.
-        locator = root_product(field, missing)
-        odd = Poly._make(field, list(locator.coeffs[1::2]))
-        inverses = [field.alpha_pow(
-            -e - field._log[odd.evaluate(field.alpha_pow(2 * e))])
-            for e in missing]
-        # M's coefficient j is sum_e M(alpha^e) alpha^(-ej): rows (-e) mod n
-        return full % Poly._make(field, list(_row_sum(
-            field, [-e % n for e in missing], inverses)))
+    if type(field) is not Field:  # the Lagrange loop, see the module docstring
+        survivors = n - len(missing)
+        field.counter.add(4 * survivors * survivors + 2 * survivors, survivors)
+        return Poly._make(field, interpolate_subset(
+            field.base, values, missing).coeffs)
 
-    field.check_elements(values)
-    erased = set(missing)
-    survivors = [pos for pos in range(n) if pos not in erased]
-    master = root_product(field, survivors)
-
-    acc = Poly.zero(field)
-    fmul = field.mul
-    for pos in survivors:
-        x = field.alpha_pow(pos)
-        basis, _ = divmod(master, Poly._make(field, [x, 1]))
-        denom = basis.evaluate(x)
-        acc = acc + basis.scale(fmul(values[pos], field.inv(denom)))
-    return acc
+    # P mod M, see the module docstring
+    full = interpolate_all(field, values)
+    if not missing:
+        return full
+    if n <= 2 * len(missing):
+        # fewer survivors than missing positions: M is their product
+        erased = set(missing)
+        return full % root_product(
+            field, [pos for pos in range(n) if pos not in erased])
+    # M(alpha^e) = 1 / locator_odd(alpha^e) at each missing e, where
+    # locator_odd(alpha^e) = alpha^e * odd(alpha^2e) for the polynomial
+    # odd holding the locator's odd-degree coefficients.  Horner's rule
+    # at l points costs l^2 / 2 products, _row_sum l n / 2, and it keeps
+    # Poly.evaluate, whose span perfbench reads, on the decode path.
+    locator = root_product(field, missing)
+    odd = Poly._make(field, list(locator.coeffs[1::2]))
+    inverses = [field.alpha_pow(
+        -e - field._log[odd.evaluate(field.alpha_pow(2 * e))])
+        for e in missing]
+    # M's coefficient j is sum_e M(alpha^e) alpha^(-ej): rows (-e) mod n
+    return full % Poly._make(field, list(_row_sum(
+        field, [-e % n for e in missing], inverses)))
 
 
 def cyclotomic_quotient(erasure_locator: Poly, n: int) -> Poly:
@@ -505,7 +498,11 @@ def cyclotomic_quotient(erasure_locator: Poly, n: int) -> Poly:
         raise ValueError(f"n must be {field.n} for GF(2^{field.m}), got {n}")
     if erasure_locator.coeffs == (1,):
         return xn_minus_one(field, n)
-    if type(field) is Field and 1 <= erasure_locator.degree < n:
+    l = erasure_locator.degree
+    if 1 <= l < n:
+        if type(field) is not Field:  # the long division it replaces
+            inverts = 0 if erasure_locator.lead == 1 else 1
+            field.counter.add((n + 1 - l) * (l + inverts), inverts)
         return _closed_form_quotient(erasure_locator)
     quot, rem = divmod(xn_minus_one(field, n), erasure_locator)
     if not rem.is_zero:

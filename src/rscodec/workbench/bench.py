@@ -1,17 +1,14 @@
 """Operation-count benchmark across the decoder pipelines.
 
 Every trial corrupts one random codeword and hands the identical received
-word to each decoder, with the field arithmetic routed through a counter.
+word to each decoder on a CountingField, which computes by the same fast
+kernels as a plain field and counts what the schoolbook algorithms would
+spend on the same operands (see counters).
 The point of the exercise is the standing claim that the reduced-modulus
 pipeline (suggested) never spends more multiplications than the
 locator-product pipeline (truong) and never needs more Euclidean
 iterations; bench checks that claim on every trial with l >= 1 and by
 default raises if a trial breaks it.
-
-Counting routes every product through the scalar loops, so each
-transform costs n^2 multiplications: a trial at m = 10 takes seconds and
-each further two steps of m about 16 times as long.  bench therefore
-refuses fields above BENCH_MAX_M.
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ from .channel import ChannelSpec, corrupt
 from .counters import CountingField, OpCounter
 
 STEP_ORDER = ("0", "1", "2a", "2b", "3", "other")
-# Largest m that bench counts; see the module docstring.
-BENCH_MAX_M = 10
 
 
 class ComplexityClaimError(RuntimeError):
@@ -84,13 +79,7 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
     trial uniformly from the decodable range 2t + l < d.
     strict raises ComplexityClaimError as soon as the report would record
     a violation; pass strict=False to collect the report regardless.
-    Fields above BENCH_MAX_M raise ValueError.
     """
-    if params.field.m > BENCH_MAX_M:
-        raise ValueError(
-            f"bench counts O(n^2) multiplications per transform and stops "
-            f"at m = {BENCH_MAX_M}, where a trial takes seconds and each two "
-            f"more steps of m cost about 16x; got m = {params.field.m}")
     # bool is a subclass of int, so the counts are checked by type
     if type(trials) is not int or trials < 0:
         raise ValueError(f"trials must be a nonnegative int, got {trials!r}")

@@ -1,10 +1,13 @@
 """Instrumented field arithmetic for comparing decoder pipelines.
 
-CountingField is a Field that tallies every multiplication and
-inversion in an OpCounter; additions are single XORs and go uncounted.
-The table-driven kernels run on a plain Field only, so a CountingField
-takes the scalar loops of the row kernels and transforms, which do a fixed
-amount of work per operand degree: two runs over the same input always
+A CountingField computes exactly as its base Field does, through the same
+table-driven kernels and transforms.  Each site that does field work adds,
+through its OpCounter's add, the multiplications and inversions that the
+schoolbook algorithm makes on operands of that shape: len(a) * len(b) for
+a product, one per coefficient for a Horner evaluation, n per coefficient
+for a transform, and so on (see polynomial, spectral and key_equation).
+Additions are single XORs and go uncounted.  The counts depend on the
+operands' lengths and leads only, so two runs over the same input always
 produce the same counts.
 """
 
@@ -38,11 +41,14 @@ class OpCounter:
         finally:
             self._step = prev
 
-    def add_mul(self) -> None:
-        self.mults[self._step] = self.mults.get(self._step, 0) + 1
-
-    def add_inv(self) -> None:
-        self.invs[self._step] = self.invs.get(self._step, 0) + 1
+    def add(self, mults: int, invs: int = 0) -> None:
+        """Record multiplications and inversions; a zero records nothing,
+        so a step appears in the tallies only once it has a count."""
+        step = self._step
+        if mults:
+            self.mults[step] = self.mults.get(step, 0) + mults
+        if invs:
+            self.invs[step] = self.invs.get(step, 0) + invs
 
     def add_iterations(self, count: int) -> None:
         """Record Euclidean iterations reported by a key-equation solve."""
@@ -66,29 +72,21 @@ class OpCounter:
 
 
 class CountingField(Field):
-    """The base field, sharing its tables, with mul and inv counted.
+    """The base field, sharing its tables, with a counter for its work.
 
     It compares and hashes equal to the base, so polynomials built on it
-    mix freely with plain ones.
+    mix freely with plain ones and every per-field table cache serves it
+    from the base's entry.  base is the plain field, for work that a site
+    has already counted as a whole.
     """
 
-    __slots__ = ("counter",)
-
-    _field_mul = Field.mul
-    _field_inv = Field.inv
+    __slots__ = ("counter", "base")
 
     def __init__(self, base: Field, counter: OpCounter):
         for name in Field.__slots__:
             setattr(self, name, getattr(base, name))
+        self.base = base
         self.counter = counter
-
-    def mul(self, a: int, b: int) -> int:
-        self.counter.add_mul()
-        return self._field_mul(a, b)
-
-    def inv(self, a: int) -> int:
-        self.counter.add_inv()
-        return self._field_inv(a)
 
     def __repr__(self) -> str:
         return f"CountingField({Field.__repr__(self)})"

@@ -13,6 +13,7 @@ import pytest
 
 from bruteforce import slow_inv, slow_mul
 from oracle import nearest_message
+from reference import Reference
 from rscodec import (
     CodeParams,
     FailureCause,
@@ -33,8 +34,6 @@ from rscodec import (
 from rscodec.workbench import (
     ChannelSpec,
     ComplexityClaimError,
-    CountingField,
-    OpCounter,
     bench,
     corrupt,
 )
@@ -68,10 +67,9 @@ def _locator_for(field, positions):
 
 
 def _scalar_lagrange(field, values, erasures):
-    # a plain Field's interpolate_subset computes this same reduction, so
-    # the identity is also checked against the scalar Lagrange loop
-    return interpolate_subset(CountingField(field, OpCounter()), values,
-                              erasures)
+    # interpolate_subset computes this same reduction, so the identity is
+    # also checked against the Lagrange loop of tests/reference.py
+    return Poly(field, Reference(field).interpolate_subset(values, erasures))
 
 
 @pytest.fixture(scope="module")

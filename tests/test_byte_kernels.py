@@ -1,13 +1,14 @@
-"""The byte-packed kernels of fields with m <= 8 against the counted loops.
+"""The byte-packed kernels of fields with m <= 8 against the schoolbook
+reference.
 
-Up to BYTE_MAX_M a plain Field's rows are bytes objects: products,
-divisions, scaling and the erasure-locator product run through
-bytes.translate and int XOR, the key-equation solve through those two
-kernels, and at n = 255 the transform and the sparse DFT rows run through
-the packed prime-factor tables.  A CountingField over the same field takes
-the scalar loops that route every product through field.mul.  Every
-result must be bit-identical and made of plain ints.  The locator product
-is also checked at m = 9 and 10, where it runs through the row kernels.
+Up to BYTE_MAX_M a field's rows are bytes objects: products, divisions,
+scaling and the erasure-locator product run through bytes.translate and
+int XOR, the key-equation solve through those two kernels, and at
+n = 255 the transform and the sparse DFT rows run through the packed
+prime-factor tables.  tests/reference.py runs the scalar loops that
+route every product through Field.mul.  Every result must be
+bit-identical and made of plain ints.  The locator product is also
+checked at m = 9 and 10, where it runs through the row kernels.
 """
 
 import random
@@ -16,21 +17,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import Reference
 from rscodec import (Field, KeyEquationProblem, Poly, evaluate_all,
                      interpolate_all, solve_key_equation)
 from rscodec import spectral
 from rscodec.galois import MIN_M
 from rscodec.polynomial import BYTE_MAX_M, root_product
-from rscodec.workbench import CountingField, OpCounter
 
 BYTE_M = range(MIN_M, BYTE_MAX_M + 1)
 FIELDS = {m: Field(m) for m in BYTE_M}
 GF256 = FIELDS[8]
 DIFF = settings(max_examples=120, deadline=None, derandomize=True)
-
-
-def scalar(field):
-    return CountingField(field, OpCounter())
 
 
 def plain_ints(*polys):
@@ -54,11 +51,6 @@ def row_pairs(draw):
     return m, a, b
 
 
-def both(m, coeffs):
-    field = FIELDS[m]
-    return Poly(field, coeffs), Poly(scalar(field), coeffs)
-
-
 @DIFF
 @given(row_pairs())
 @example((8, [0, 0, 7, 0], [0, 3, 0, 0, 1]))   # zeros inside both factors
@@ -66,9 +58,10 @@ def both(m, coeffs):
 @example((8, [255] * 64, [255] * 64))
 def test_products_match_counted(case):
     m, a, b = case
-    (fa, sa), (fb, sb) = both(m, a), both(m, b)
-    for fast, ref in ((fa * fb, sa * sb), (fb * fa, sb * sa)):
-        assert fast.coeffs == ref.coeffs
+    fa, fb = Poly(FIELDS[m], a), Poly(FIELDS[m], b)
+    expected = Reference(FIELDS[m]).product(a, b)
+    for fast in (fa * fb, fb * fa):
+        assert fast.coeffs == expected
         assert plain_ints(fast)
 
 
@@ -83,10 +76,9 @@ def test_divisions_match_counted(case, lead):
     m, a, b = case
     b = b + [lead % ((1 << m) - 1) + 1]  # a nonzero lead, not only 1
     for num in (a, b + a, b):            # shorter, longer and equal dividends
-        (fn, sn), (fd, sd) = both(m, num), both(m, b)
-        fq, fr = divmod(fn, fd)
-        sq, sr = divmod(sn, sd)
-        assert (fq.coeffs, fr.coeffs) == (sq.coeffs, sr.coeffs)
+        fd = Poly(FIELDS[m], b)
+        fq, fr = divmod(Poly(FIELDS[m], num), fd)
+        assert (fq.coeffs, fr.coeffs) == Reference(FIELDS[m]).divmod(num, b)
         assert fr.degree < fd.degree
         assert plain_ints(fq, fr)
 
@@ -99,9 +91,9 @@ def test_divisions_match_counted(case, lead):
 def test_scaling_matches_counted(case, c):
     m, a, _ = case
     c %= 1 << m
-    fa, sa = both(m, a)
+    fa = Poly(FIELDS[m], a)
     fast = fa.scale(c)
-    assert fast.coeffs == sa.scale(c).coeffs
+    assert fast.coeffs == Reference(FIELDS[m]).scale(a, c)
     assert plain_ints(fast)
     assert fast.is_zero == (c == 0 or fa.is_zero)
 
@@ -130,7 +122,7 @@ def test_root_product_matches_counted(case):
     m, exponents = case
     field = ROOT_FIELDS[m]
     fast = root_product(field, exponents)
-    assert fast.coeffs == root_product(scalar(field), exponents).coeffs
+    assert fast.coeffs == Reference(field).root_product(exponents)
     assert plain_ints(fast)
     assert len(fast.coeffs) == len(exponents) + 1 and fast.lead == 1
 
@@ -155,13 +147,11 @@ def solve_cases(draw):
 @example((3, [1, 0, 0, 0, 0, 0, 0, 1], [0, 0, 5], 1))
 def test_solve_matches_counted(case):
     m, modulus, known, stop = case
-    solutions = [solve_key_equation(KeyEquationProblem(
-        modulus=Poly(field, modulus), known=Poly(field, known),
-        stop_degree=stop)) for field in (FIELDS[m], scalar(FIELDS[m]))]
-    fast, ref = solutions
-    assert fast.locator.coeffs == ref.locator.coeffs
-    assert fast.combination.coeffs == ref.combination.coeffs
-    assert fast.iterations == ref.iterations
+    fast = solve_key_equation(KeyEquationProblem(
+        modulus=Poly(FIELDS[m], modulus), known=Poly(FIELDS[m], known),
+        stop_degree=stop))
+    assert ((fast.locator.coeffs, fast.combination.coeffs, fast.iterations)
+            == Reference(FIELDS[m]).solve(modulus, known, stop))
     assert plain_ints(fast.locator, fast.combination)
 
 
@@ -172,13 +162,13 @@ def test_n255_transforms_match_counted(length):
     if coeffs:
         coeffs[-1] = rng.randrange(1, 256)
     values = evaluate_all(Poly(GF256, coeffs), 255)
-    assert values == evaluate_all(Poly(scalar(GF256), coeffs), 255)
+    assert values == Reference(GF256).evaluate_all(coeffs)
     assert len(values) == 255 and all(type(v) is int for v in values)
     # interpolate_all is the same transform read backwards; coefficient
     # vectors of every length are value vectors once zero-filled
     vector = coeffs + [0] * (255 - length)
     fast = interpolate_all(GF256, vector)
-    assert fast.coeffs == interpolate_all(scalar(GF256), vector).coeffs
+    assert fast.coeffs == Reference(GF256).interpolate_all(vector)
     assert plain_ints(fast)
     assert interpolate_all(GF256, values).coeffs == tuple(coeffs)
 
@@ -190,10 +180,10 @@ def test_n255_row_sum_matches_counted(count):
     js = rng.sample(range(255), count)
     values = [rng.choice([0, 1, rng.randrange(256)]) for _ in js]
     fast = spectral._row_sum(GF256, js, values)
-    counted = scalar(GF256)
+    reference = Reference(GF256)
     ref = [0] * 255
     for j, value in zip(js, values):
         for i in range(255):
-            ref[i] ^= counted.mul(value, counted.alpha_pow(i * j))
+            ref[i] ^= reference.mul(value, GF256.alpha_pow(i * j))
     assert list(fast) == ref
     assert all(type(v) is int for v in fast)

@@ -1,20 +1,21 @@
-"""The table-driven fast paths against the scalar reference.
+"""The table-driven fast paths against the schoolbook reference.
 
 Every product and division, Poly's scaling and each step of the one
 key-equation solve go through the two row kernels, multiply_rows and
-divide_rows, which choose their arithmetic from the field.  On a plain
-Field they run table-driven rows: up to BYTE_MAX_M = 8 the rows are bytes
-(tests/test_byte_kernels.py covers those kernels in depth), and from
-m = 9 on they are inline loops below ROW_KERNEL_MIN_LEN coefficients and
-numpy rows from it.  A plain Field also takes table-driven evaluation,
-the erasure-locator product, the prime-factor transform, the closed-form
-cyclotomic quotient and the subset interpolation as a transform plus a
-reduction.  A CountingField over the same field takes the kernels' scalar
-loops and the scalar transforms, which route every product through
-field.mul.  Both must give bit-identical results, as plain ints.
+divide_rows, which choose their arithmetic from the field's m: up to
+BYTE_MAX_M = 8 the rows are bytes (tests/test_byte_kernels.py covers
+those kernels in depth), and from m = 9 on they are inline loops below
+ROW_KERNEL_MIN_LEN coefficients and numpy rows from it.  The package
+also has table-driven evaluation, the erasure-locator product, the
+prime-factor transform, the closed-form cyclotomic quotient and the
+subset interpolation as a transform plus a reduction.  A CountingField
+runs all of these as a plain Field does.  tests/reference.py holds the
+schoolbook algorithms they replace: scalar loops through Field.mul, the
+Horner transform, long division and the Lagrange loop.  Both must give
+bit-identical results, as plain ints.
 
 Every m from 3 to 16 is covered.  Up to COUNTED_MAX_M the fast results
-are compared with the CountingField's.  Above it a counted transform
+are compared with the reference's.  Above it a reference transform
 costs n^2 products, 16 M at m = 12, so the transforms are checked by
 Poly.evaluate at sampled points and by round trips, the quotient by the
 plain long division, and the subset interpolation by recovering a known
@@ -33,6 +34,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import Reference
 from rscodec import (DECODERS, CodeParams, Field, KeyEquationProblem, Poly,
                      ReceivedWord, cyclotomic_quotient, erasure_locator,
                      evaluate_all, encode, interpolate_all,
@@ -48,13 +50,13 @@ FIELDS = {m: Field(m) for m in range(MIN_M, MAX_M + 1)}
 OTHER_PRIM_POLYS = {3: 0xD, 4: 0x19, 5: 0x29, 6: 0x61, 7: 0xC1, 8: 0x1C3,
                     9: 0x221, 10: 0x481, 11: 0xA01, 12: 0x1C11, 13: 0x3901,
                     14: 0x7005, 15: 0xC001, 16: 0x1A011}
-# largest m whose transforms are compared with the CountingField's
+# largest m whose transforms are compared with the reference's
 COUNTED_MAX_M = 10
 LARGE_M = range(COUNTED_MAX_M + 1, MAX_M + 1)
 DIFF = settings(max_examples=150, deadline=None, derandomize=True)
 
 
-def scalar(field):
+def counted(field):
     return CountingField(field, OpCounter())
 
 
@@ -72,9 +74,8 @@ def poly_pairs(draw):
     return m, draw(coeff_lists(m)), draw(coeff_lists(m))
 
 
-def both(m, coeffs):
-    field = FIELDS[m]
-    return Poly(field, coeffs), Poly(scalar(field), coeffs)
+def ref(m):
+    return Reference(FIELDS[m])
 
 
 @DIFF
@@ -83,9 +84,8 @@ def both(m, coeffs):
 @example((8, [0, 0, 5], []))
 def test_mul_matches_scalar(case):
     m, a, b = case
-    fa, sa = both(m, a)
-    fb, sb = both(m, b)
-    assert (fa * fb).coeffs == (sa * sb).coeffs
+    field = FIELDS[m]
+    assert (Poly(field, a) * Poly(field, b)).coeffs == ref(m).product(a, b)
 
 
 @DIFF
@@ -102,11 +102,9 @@ def test_mul_matches_scalar(case):
 def test_divmod_matches_scalar(case, lead):
     m, a, b = case
     b = b + [lead % ((1 << m) - 1) + 1]  # a nonzero leading coefficient
-    fa, sa = both(m, a)
-    fb, sb = both(m, b)
-    fq, fr = divmod(fa, fb)
-    sq, sr = divmod(sa, sb)
-    assert (fq.coeffs, fr.coeffs) == (sq.coeffs, sr.coeffs)
+    fb = Poly(FIELDS[m], b)
+    fq, fr = divmod(Poly(FIELDS[m], a), fb)
+    assert (fq.coeffs, fr.coeffs) == ref(m).divmod(a, b)
     assert fr.degree < fb.degree
 
 
@@ -135,17 +133,16 @@ def plain_ints(*polys):
 @example((10, [0, 1023] * 16, [0, 0, 0, 7]))
 def test_kernels_at_the_row_length_match_scalar(case):
     m, long, short = case
-    fl, sl = both(m, long)
-    fs, ss = both(m, short)
-    for fast, ref in ((fl * fs, sl * ss), (fs * fl, ss * sl)):
-        assert fast.coeffs == ref.coeffs
+    field = FIELDS[m]
+    fl, fs = Poly(field, long), Poly(field, short)
+    expected = ref(m).product(long, short)
+    for fast in (fl * fs, fs * fl):
+        assert fast.coeffs == expected
         assert plain_ints(fast)
     # long as the divisor, of a dividend at least as long and of a shorter one
     for num in (short + long, short):
-        fn, sn = both(m, num)
-        fq, fr = divmod(fn, fl)
-        sq, sr = divmod(sn, sl)
-        assert (fq.coeffs, fr.coeffs) == (sq.coeffs, sr.coeffs)
+        fq, fr = divmod(Poly(field, num), fl)
+        assert (fq.coeffs, fr.coeffs) == ref(m).divmod(num, long)
         assert plain_ints(fq, fr)
 
 
@@ -158,10 +155,10 @@ def test_long_products_match_scalar(m, lengths):
     coeffs = [[rng.randrange(1 << m) if rng.random() < 0.8 else 0
                for _ in range(size - 1)] + [rng.randrange(1, 1 << m)]
               for size in lengths]
-    (fa, sa), (fb, sb) = (both(m, c) for c in coeffs)
-    ref = sa * sb
+    fa, fb = (Poly(FIELDS[m], c) for c in coeffs)
+    expected = ref(m).product(*coeffs)
     for fast in (fa * fb, fb * fa):
-        assert fast.coeffs == ref.coeffs
+        assert fast.coeffs == expected
         assert plain_ints(fast)
     quot, rem = divmod(fa * fb + fb, fa)
     assert quot.coeffs == rem.coeffs == fb.coeffs
@@ -176,9 +173,9 @@ def test_long_products_match_scalar(m, lengths):
 def test_evaluate_and_scale_match_scalar(case, value):
     m, coeffs, _ = case
     value %= 1 << m
-    fp, sp = both(m, coeffs)
-    assert fp.evaluate(value) == sp.evaluate(value)
-    assert fp.scale(value).coeffs == sp.scale(value).coeffs
+    fp = Poly(FIELDS[m], coeffs)
+    assert fp.evaluate(value) == ref(m).evaluate(coeffs, value)
+    assert fp.scale(value).coeffs == ref(m).scale(coeffs, value)
 
 
 @st.composite
@@ -196,21 +193,21 @@ def test_transforms_match_scalar(case):
     m, coeffs = case
     field = FIELDS[m]
     n = field.n
-    fp, sp = both(m, coeffs)
-    assert evaluate_all(fp, n) == evaluate_all(sp, n)
+    assert evaluate_all(Poly(field, coeffs), n) == ref(m).evaluate_all(coeffs)
     values = coeffs + [0] * (n - len(coeffs))
     assert (interpolate_all(field, values).coeffs
-            == interpolate_all(scalar(field), values).coeffs)
+            == ref(m).interpolate_all(values))
 
 
 def check_transforms(field, coeffs, counted):
-    """evaluate_all against the counted loop or, when counted is false,
-    against Horner at sampled points; then interpolate_all back."""
+    """evaluate_all against the reference's Horner transform or, when
+    counted is false, against Horner at sampled points; then
+    interpolate_all back."""
     n = field.n
     p = Poly(field, coeffs)
     values = evaluate_all(p, n)
     if counted:
-        assert values == evaluate_all(Poly(scalar(field), coeffs), n)
+        assert values == Reference(field).evaluate_all(coeffs)
     else:
         rng = random.Random(n)
         for i in [0, 1, n - 1, *rng.sample(range(n), 16)]:
@@ -231,7 +228,7 @@ def test_full_length_transforms_match_scalar(m):
     check_transforms(field, coeffs, counted=m <= COUNTED_MAX_M)
     if m <= COUNTED_MAX_M:
         assert (interpolate_all(field, coeffs).coeffs
-                == interpolate_all(scalar(field), coeffs).coeffs)
+                == ref(m).interpolate_all(coeffs))
     other = Field(m, OTHER_PRIM_POLYS[m])
     short = [rng.randrange(other.order) for _ in range(n // 2)]
     check_transforms(other, short, counted=m <= 8)
@@ -433,15 +430,12 @@ def key_equation_problems(draw):
 @example((9, [0] * ROW_KERNEL_MIN_LEN + [2], [0, 1], 1))
 def test_solve_matches_scalar(case):
     m, modulus, known, stop = case
-    solutions = []
-    for field in (FIELDS[m], scalar(FIELDS[m])):
-        solutions.append(solve_key_equation(KeyEquationProblem(
-            modulus=Poly(field, modulus), known=Poly(field, known),
-            stop_degree=stop)))
-    fast, ref = solutions
-    assert fast.locator.coeffs == ref.locator.coeffs
-    assert fast.combination.coeffs == ref.combination.coeffs
-    assert fast.iterations == ref.iterations
+    field = FIELDS[m]
+    fast = solve_key_equation(KeyEquationProblem(
+        modulus=Poly(field, modulus), known=Poly(field, known),
+        stop_degree=stop))
+    assert ((fast.locator.coeffs, fast.combination.coeffs, fast.iterations)
+            == ref(m).solve(modulus, known, stop))
 
 
 @st.composite
@@ -469,17 +463,16 @@ def test_erasure_locator_and_quotient_match_scalar(case, scale):
     m, positions = case
     field = FIELDS[m]
     fast = erasure_locator(CodeParams(field, 1), positions)
-    ref = erasure_locator(CodeParams(scalar(field), 1), positions)
-    assert fast.coeffs == ref.coeffs
+    assert fast.coeffs == ref(m).root_product(positions)
     scale = scale % field.n + 1
     assert (cyclotomic_quotient(fast.scale(scale), field.n).coeffs
-            == cyclotomic_quotient(ref.scale(scale), field.n).coeffs)
+            == ref(m).cyclotomic_quotient(ref(m).scale(fast.coeffs, scale)))
 
 
 @pytest.mark.parametrize("m", LARGE_M)
 def test_large_field_quotient_matches_long_division(m):
-    # the counted long division of x^n - 1 costs about n * l products, so
-    # above COUNTED_MAX_M the plain field's own long division is the
+    # the reference's long division of x^n - 1 costs about n * l products,
+    # so above COUNTED_MAX_M the plain field's own long division is the
     # reference; locators below and above the row kernel's length
     rng = random.Random(m)
     for field in (FIELDS[m], Field(m, OTHER_PRIM_POLYS[m])):
@@ -495,7 +488,7 @@ def test_large_field_quotient_matches_long_division(m):
 
 def test_long_locator_vanishes_at_its_roots_only():
     # l = 2,000 at m = 12 builds most of the locator in numpy rows; the
-    # counted reference would take 2 M products, so the check is by roots
+    # schoolbook reference would take 2 M products, so the check is by roots
     field = FIELDS[12]
     positions = random.Random(12).sample(range(field.n), 2000)
     locator = erasure_locator(CodeParams(field, 1), positions)
@@ -514,14 +507,16 @@ def test_quotient_rejects_a_non_dividing_locator(m):
     repeated_root = Poly(field, [1, 0, 1])  # (x + 1)^2
     with_zero_root = Poly(field, [0, a, 1])  # x (x + alpha^2)
     for locator in (repeated_root, with_zero_root):
-        for ctx in (field, scalar(field)):
+        for ctx in (field, counted(field)):
             with pytest.raises(ValueError, match="does not divide"):
                 cyclotomic_quotient(Poly(ctx, locator.coeffs), field.n)
+        with pytest.raises(ValueError, match="does not divide"):
+            Reference(field).cyclotomic_quotient(locator.coeffs)
 
 
 def test_quotient_dispatch(monkeypatch):
-    # every plain field takes the closed form for 1 <= deg < n; only a
-    # CountingField, a constant locator and x^n - 1 itself divide
+    # every field, a CountingField too, takes the closed form for
+    # 1 <= deg < n; only a constant locator and x^n - 1 itself divide
     calls = []
     divmod_ = Poly.__divmod__
 
@@ -538,17 +533,20 @@ def test_quotient_dispatch(monkeypatch):
             cyclotomic_quotient(erasure_locator(params, positions), n)
     assert calls == []
     field = FIELDS[4]
-    cyclotomic_quotient(erasure_locator(CodeParams(scalar(field), 1), [3]), 15)
+    locator = erasure_locator(CodeParams(counted(field), 1), [3])
+    cyclotomic_quotient(locator, 15)
+    assert calls == []
     cyclotomic_quotient(Poly(field, [5]), 15)
     cyclotomic_quotient(xn_minus_one(field, 15), 15)
-    assert calls == [False, True, True]
+    assert calls == [True, True]
 
 
 def test_row_kernel_dispatch_follows_divisor_length(monkeypatch):
     # only a numpy row fetches the row tables: from m = 9 on, a division's
     # from a divisor of ROW_KERNEL_MIN_LEN coefficients, a product's from a
-    # longer factor of that length, in either operand order; a
-    # CountingField's never, and up to m = 8, where rows are bytes, never
+    # longer factor of that length, in either operand order, a
+    # CountingField's as a plain field's; up to m = 8, where rows are
+    # bytes, never
     fetched = []
     row_tables = polynomial.row_tables
 
@@ -558,7 +556,7 @@ def test_row_kernel_dispatch_follows_divisor_length(monkeypatch):
 
     monkeypatch.setattr(polynomial, "row_tables", spy)
     rows = []
-    for field in (FIELDS[9], scalar(FIELDS[9]), *(FIELDS[m] for m in range(
+    for field in (FIELDS[9], counted(FIELDS[9]), *(FIELDS[m] for m in range(
             MIN_M, BYTE_MAX_M + 1))):
         short = Poly(field, [5, 0, 6])
         for length in (ROW_KERNEL_MIN_LEN - 1, ROW_KERNEL_MIN_LEN):
@@ -573,7 +571,7 @@ def test_row_kernel_dispatch_follows_divisor_length(monkeypatch):
                     rows.append((name, length))
     assert rows == [("divmod", ROW_KERNEL_MIN_LEN),
                     ("long * short", ROW_KERNEL_MIN_LEN),
-                    ("short * long", ROW_KERNEL_MIN_LEN)]
+                    ("short * long", ROW_KERNEL_MIN_LEN)] * 2
 
 
 def test_equal_fields_share_one_cache_entry():
@@ -585,12 +583,12 @@ def test_equal_fields_share_one_cache_entry():
     for m, cached in caches.items():
         field = Field(m, OTHER_PRIM_POLYS[m])
         twin = Field(m, OTHER_PRIM_POLYS[m])
-        counted = scalar(twin)
-        assert hash(field) == hash(twin) == hash(counted)
+        counting = counted(twin)
+        assert hash(field) == hash(twin) == hash(counting)
         assert hash(field) != hash(FIELDS[m])
         tables = [table(field) for table in cached]
         before = [table.cache_info().currsize for table in cached]
-        for other in (twin, counted):
+        for other in (twin, counting):
             assert all(table(other) is built
                        for table, built in zip(cached, tables))
         assert [table.cache_info().currsize for table in cached] == before
@@ -615,7 +613,7 @@ def erasure_sets(draw):
     """(m, values, erasures): n values and distinct erased positions in
     random order.
 
-    The scalar Lagrange side is O(count^2) in the survivors, so above
+    The reference's Lagrange loop is O(count^2) in the survivors, so above
     m = 8 they are capped; l = n - count then stays close to n there.
     """
     m = draw(st.integers(MIN_M, COUNTED_MAX_M))
@@ -653,8 +651,7 @@ def test_subset_interpolation_matches_scalar(case):
     m, values, erasures = case
     field = FIELDS[m]
     fast = interpolate_subset(field, values, erasures)
-    ref = interpolate_subset(scalar(field), values, erasures)
-    assert fast.coeffs == ref.coeffs
+    assert fast.coeffs == ref(m).interpolate_subset(values, erasures)
     assert fast.degree < field.n - len(erasures)
 
 
@@ -682,9 +679,8 @@ def test_large_field_subset_interpolation(m):
 
 
 def test_subset_interpolation_dispatch(monkeypatch):
-    # every plain field takes the reduction route, one division P mod M;
-    # only a CountingField takes the Lagrange loop, which divides the
-    # survivors' master polynomial once per survivor
+    # every field takes the reduction route, one division P mod M; a
+    # CountingField makes it on its plain base field
     calls = []
     divmod_ = Poly.__divmod__
 
@@ -703,5 +699,5 @@ def test_subset_interpolation_dispatch(monkeypatch):
     assert calls == [True, True, True]
     calls.clear()
     values = [pos % 5 for pos in range(15)]
-    interpolate_subset(scalar(FIELDS[4]), values, [0, *range(7, 15)])
-    assert calls == [False] * 6
+    interpolate_subset(counted(FIELDS[4]), values, [0, *range(7, 15)])
+    assert calls == [True]

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import tracked_euclid, trim
+from reference import Reference
 from rscodec import (
     Field,
     KeyEquationProblem,
@@ -17,7 +18,6 @@ from rscodec import (
     xn_minus_one,
 )
 from rscodec.polynomial import ROW_KERNEL_MIN_LEN
-from rscodec.workbench import CountingField, OpCounter
 
 
 def rand_problem(rng, field, max_modulus_degree):
@@ -130,9 +130,9 @@ XN_MINUS_ONE = [1] + [0] * (GF256.n - 1) + [1]
 def long_problems(draw):
     """(modulus, known, stop_degree) coefficient lists, the modulus monic
     with 2 to 81 coefficients, on both sides of ROW_KERNEL_MIN_LEN, where
-    the rows of a plain field with m >= 9 change form.  At m = 8 the one
-    solve runs on the kernels' byte rows for a plain Field and on their
-    scalar loops for a CountingField, at every length."""
+    the rows of a field with m >= 9 change form.  At m = 8 the one solve
+    runs on the kernels' byte rows at every length, and
+    tests/reference.py's solve on scalar loops."""
     degree = draw(st.one_of(st.integers(1, ROW_KERNEL_MIN_LEN - 1),
                             st.integers(ROW_KERNEL_MIN_LEN - 1, 80)))
     modulus = draw(st.lists(SYMBOLS, min_size=degree, max_size=degree)) + [1]
@@ -155,12 +155,10 @@ def test_locator_degree_bound_on_both_solve_paths(case):
     # stop_degree = ceil((deg M + k + deg factor) / 2) it caps deg W at
     # (d - 1 - l) / 2
     modulus, known, stop = case
-    answers = []
-    for field in (GF256, CountingField(GF256, OpCounter())):
-        solution = solve_key_equation(KeyEquationProblem(
-            modulus=Poly(field, modulus), known=Poly(field, known),
-            stop_degree=stop))
-        assert solution.locator.degree <= len(modulus) - 1 - stop
-        answers.append((solution.locator.coeffs, solution.combination.coeffs,
-                        solution.iterations))
-    assert answers[0] == answers[1]
+    solution = solve_key_equation(KeyEquationProblem(
+        modulus=Poly(GF256, modulus), known=Poly(GF256, known),
+        stop_degree=stop))
+    assert solution.locator.degree <= len(modulus) - 1 - stop
+    assert ((solution.locator.coeffs, solution.combination.coeffs,
+             solution.iterations)
+            == Reference(GF256).solve(modulus, known, stop))
