@@ -12,12 +12,19 @@ a threshold chosen by the caller; that remainder is P and its cofactor
 against known is W.  Only the remainders and the known-side cofactors are
 tracked, which is all the congruence needs.
 
-solve runs the recurrence on coefficient rows and leaves all arithmetic to
-polynomial's row kernels: each division is one divide_rows call, and
-each cofactor update one multiply_rows call, as is each half of the
-final scaling, made only when the last cofactor is not already monic.
-On a CountingField the kernels count their own schoolbook products, and
-the solve counts the one inversion of that scaling.
+solve leaves all arithmetic to polynomial's row kernels.  Up to
+BYTE_MAX_M = 8 the whole remainder sequence is one euclid_bytes pass,
+which keeps each remainder and cofactor as one packed int from the first
+division to the last cofactor: each quotient term updates both with one
+translate each, and no quotient row is built.  From m = 9 on solve runs
+the recurrence itself: each division is one divide_rows call, and each
+cofactor update one multiply_rows call.  Either way each half of the
+final scaling is one multiply_rows call, made only when the last cofactor
+is not already monic.  On a CountingField the kernels count their own
+schoolbook products, the pass counts per division what those two calls
+would (q (dd + [lead != 1]) multiplications and [lead != 1] inversions
+for the division, q len(v) for the cofactor update), and the solve
+counts the one inversion of the scaling.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .galois import Field
-from .polynomial import Poly, divide_rows, multiply_rows
+from .polynomial import (BYTE_MAX_M, Poly, divide_rows, euclid_bytes,
+                         multiply_rows)
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,9 @@ def solve(problem: KeyEquationProblem) -> KeyEquationSolution:
     Returns the pair scaled so the locator is monic.  A zero known
     polynomial yields (1, 0) in zero iterations.  The result satisfies
     locator * known = combination (mod modulus) with
-    degree(combination) < stop_degree.
+    degree(combination) < stop_degree.  Up to BYTE_MAX_M the divisions
+    run as one euclid_bytes pass, from m = 9 on as one divide_rows and one
+    multiply_rows call each; with no division to make neither runs.
     """
     field = problem.modulus.field
     r_prev, r_cur = problem.modulus.coeffs, problem.known.coeffs
@@ -76,7 +86,9 @@ def solve(problem: KeyEquationProblem) -> KeyEquationSolution:
     stop = problem.stop_degree
 
     iterations = 0
-    while len(r_cur) > stop:  # degree(r_cur) >= stop
+    if field.m <= BYTE_MAX_M and len(r_cur) > stop:
+        r_cur, v_cur, iterations = euclid_bytes(field, r_prev, r_cur, stop)
+    while len(r_cur) > stop:  # from m = 9 on; degree(r_cur) >= stop
         quot, r_next = divide_rows(field, r_prev, r_cur)
         r_prev, r_cur = r_cur, r_next
         # v_prev + quot * v_cur; the product has the higher degree

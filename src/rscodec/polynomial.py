@@ -6,18 +6,22 @@ all.  Its degree is the MINUS_INF sentinel rather than any integer, so a
 degree comparison can never confuse the zero polynomial with a constant.
 
 Every product and division goes through one of two row kernels,
-multiply_rows and divide_rows, which the key-equation solver shares and
-Poly's product, division and scaling call once each; a row is one
-operand scaled by one term of the other.  Each kernel alone chooses its
-arithmetic from the field's m.  Up to BYTE_MAX_M = 8 every element fits
-in a byte, so a row is a bytes object with one coefficient per byte:
-scaling is one bytes.translate through a 256-byte table of byte_tables,
-and adding rows is one XOR of the rows read as ints, and numpy is never
-imported.  From m = 9 on each kernel takes its path from one operand's
-length, the longer factor of a product or the divisor of a division.
-Below ROW_KERNEL_MIN_LEN coefficients it loops inline over the
-log/antilog tables and skips zero terms; from it each row is a single
-numpy gather-and-XOR, numpy imported on the first such row.  The
+multiply_rows and divide_rows, which Poly's product, division and scaling
+call once each; a row is one operand scaled by one term of the other.
+Each kernel alone chooses its arithmetic from the field's m.  Up to
+BYTE_MAX_M = 8 every element fits in a byte, so a row is a bytes object
+with one coefficient per byte: scaling is one bytes.translate through a
+256-byte table of byte_tables, and adding rows is one XOR of the rows
+read as ints, and numpy is never imported.  A constant divisor is one
+such scaling.  There the key-equation solver's divisions and cofactor
+products are one euclid_bytes pass, divide_rows' sibling, which keeps
+its remainders and cofactors packed from the first division to the last
+cofactor; from m = 9 on the solver calls the two kernels.  From m = 9 on
+each kernel takes its path from one operand's length, the longer factor
+of a product or the divisor of a division.  Below ROW_KERNEL_MIN_LEN
+coefficients it loops inline over the log/antilog tables and skips zero
+terms; from it each row is a single numpy gather-and-XOR, numpy imported
+on the first such row.  The
 erasure-locator product root_product keeps one packed int up to
 BYTE_MAX_M and multiplies one factor at a time through multiply_rows
 above it.  Evaluation is Horner's rule over the tables.  All paths give
@@ -27,7 +31,8 @@ The workbench's CountingField runs the same arithmetic and adds to its
 counter what the schoolbook algorithm spends on operands of that shape:
 len(a) * len(b) multiplications for a product; q * (dd + [lead != 1])
 multiplications and [lead != 1] inversions for a division with q
-quotient terms by a divisor of degree dd; len(coeffs) for an evaluation;
+quotient terms by a divisor of degree dd, which euclid_bytes adds per
+division with q len(v) for its cofactor v; len(coeffs) for an evaluation;
 and l (l + 1) for a product of l roots, one multiply_rows by
 (x - alpha^e) per root.  tests/reference.py holds those schoolbook loops,
 counting their own products.
@@ -163,14 +168,15 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
 
     num and den are coefficient rows as in multiply_rows, num at least as
     long as den and den with a nonzero lead.  Returns the quotient and the
-    remainder without trailing zeros.  Up to BYTE_MAX_M both are bytes: the
-    remainder is one int, num with its lead in the low byte, and each step
-    clears that byte with one translate of the divisor, one XOR and one
-    shift.  From m = 9 on the quotient is a list; below ROW_KERNEL_MIN_LEN
-    coefficients in the divisor each row is an inline loop over its
-    nonzero terms and the remainder a list, and from it each row is one
-    numpy gather-and-XOR and the remainder an intp array, a view of num
-    when num is one, since num is then reduced in place.
+    remainder without trailing zeros.  Up to BYTE_MAX_M both are bytes: a
+    constant divisor is one translate of num by its inverse, and otherwise
+    the remainder is one int, num with its lead in the low byte, and each
+    step clears that byte with one translate of the divisor, one XOR and
+    one shift.  From m = 9 on the quotient is a list; below
+    ROW_KERNEL_MIN_LEN coefficients in the divisor each row is an inline
+    loop over its nonzero terms and the remainder a list, and from it each
+    row is one numpy gather-and-XOR and the remainder an intp array, a
+    view of num when num is one, since num is then reduced in place.
     """
     dd = len(den) - 1
     if type(field) is not Field:
@@ -181,6 +187,8 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
     if field.m <= BYTE_MAX_M:
         mul = byte_tables(field).mul
         inv_lead = field._exp[field.n - field._log[den[dd]]]
+        if not dd:  # a constant divisor: one scaling, no remainder
+            return bytes(num).translate(mul[inv_lead]), b""
         # the divisor below its lead, monic and reversed to match rem
         tail = bytes(den)[-2::-1].translate(mul[inv_lead])
         rem = int.from_bytes(bytes(num), "big")
@@ -222,6 +230,64 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
     while dd and not rem[dd - 1]:
         dd -= 1
     return quot, rem[:dd]
+
+
+def euclid_bytes(field: Field, modulus: Row, known: Row,
+                 stop: int) -> tuple[bytes, bytes, int]:
+    """The key equation's remainder sequence up to BYTE_MAX_M, in one pass.
+
+    modulus and known are rows without trailing zeros, known the shorter.
+    Divides each remainder by the next, from (modulus, known), until one
+    has at most stop coefficients, and carries each remainder's cofactor
+    against known: v_next = v_prev + quotient * v_cur.  Returns that
+    remainder and its cofactor as bytes rows, and the number of divisions.
+
+    The sibling of divide_rows, kept packed from the first division to the
+    last cofactor: a remainder is one int with its lead in the low byte,
+    as divide_rows holds it, and a cofactor one little-endian int.  Each
+    quotient term q clears a remainder's low byte with one translate of
+    the divisor's tail by mul[q], and adds the same translate of the
+    current cofactor at its degree; no quotient row is built.  A
+    CountingField counts what divide_rows and multiply_rows count on those
+    operands: per division q * (dd + [lead != 1]) multiplications and
+    [lead != 1] inversions, with q quotient terms by a divisor of degree
+    dd, and q * len(v_cur) for the cofactor.
+    """
+    exp, log, n = field._exp, field._log, field.n
+    mul, from_bytes = byte_tables(field).mul, int.from_bytes
+    counted = type(field) is not Field
+    r_prev, la = from_bytes(bytes(modulus), "big"), len(modulus)
+    r_cur, lb = from_bytes(bytes(known), "big"), len(known)
+    v_prev, v_cur, lv = 0, 1, 1
+    mults = invs = iterations = 0
+    while lb > stop:
+        lead = r_cur & 255
+        over_lead = mul[exp[n - log[lead]]]  # c to c / lead
+        tail = (r_cur >> 8).to_bytes(lb - 1, "little")
+        row = v_cur.to_bytes(lv, "little")
+        rem, v_next = r_prev, v_prev
+        for s in range(la - lb, -1, -1):
+            top = rem & 255
+            rem >>= 8
+            if top:
+                q = mul[over_lead[top]]
+                rem ^= from_bytes(tail.translate(q), "little")
+                v_next ^= from_bytes(row.translate(q), "little") << 8 * s
+        terms = la - lb + 1
+        if counted:  # divide_rows' count, then multiply_rows'
+            inverts = lead != 1
+            mults += terms * (lb - 1 + inverts) + terms * lv
+            invs += inverts
+        lr = lb - 1  # the degree may drop by more than one
+        while lr and not rem & 255:
+            rem >>= 8
+            lr -= 1
+        r_prev, r_cur, la, lb = r_cur, rem, lb, lr
+        v_prev, v_cur, lv = v_cur, v_next, lv + terms - 1
+        iterations += 1
+    if counted:
+        field.counter.add(mults, invs)
+    return r_cur.to_bytes(lb, "big"), v_cur.to_bytes(lv, "little"), iterations
 
 
 class Poly:

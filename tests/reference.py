@@ -172,3 +172,22 @@ class Reference:
             v_cur = self.multiply_rows(factor, v_cur)
             r_cur = self.multiply_rows(factor, r_cur)
         return strip(v_cur), strip(r_cur), iterations
+
+
+def euclid_chain(field: Field, quotients, last, after
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(modulus, known) whose Euclidean remainder sequence divides by the
+    given quotients in turn and ends in last, then after.
+
+    Built backwards, r_(i-1) = q_i r_i + r_(i+1), so a test can name the
+    shape it needs: a quotient of degree d drops the remainder's degree by
+    d in the division before it, a zero term inside a quotient is a
+    quotient step with nothing to clear, and the quotients' leads set the
+    modulus's lead and the last cofactor's.  after must be of lower degree
+    than last.
+    """
+    ref = Reference(field)
+    r, r_next = strip(last), strip(after)
+    for q in reversed(quotients):
+        r, r_next = strip(ref.multiply_rows(q, r, r_next)), r
+    return r, r_next

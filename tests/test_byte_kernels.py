@@ -3,7 +3,7 @@ reference.
 
 Up to BYTE_MAX_M a field's rows are bytes objects: products, divisions,
 scaling and the erasure-locator product run through bytes.translate and
-int XOR, the key-equation solve through those two kernels, and at
+int XOR, the key-equation solve as one packed pass of the same, and at
 n = 255 the transform and the sparse DFT rows run through the packed
 prime-factor tables.  tests/reference.py runs the scalar loops that
 route every product through Field.mul.  Every result must be

@@ -11,16 +11,19 @@ equal multiplication and inversion counts.
 
 The cases cover m = 3, 4, 8, 9 and 10, rows on both sides of
 ROW_KERNEL_MIN_LEN, zero and trailing-zero operands, monic and non-monic
-divisors, scaling by 0, evaluation at 0, locators of 0, 1 and n - 1 roots,
-subset interpolation with more and with fewer survivors than erasures,
-and solves whose last cofactor is monic and whose is not.
+divisors, constant divisors, scaling by 0, evaluation at 0, locators of
+0, 1 and n - 1 roots, subset interpolation with more and with fewer
+survivors than erasures, and solves with no division, with remainders
+that drop several degrees at once or reach zero, with zero quotient
+terms, with non-monic moduli, and whose last cofactor is monic and whose
+is not.
 """
 
 import random
 
 import pytest
 
-from reference import Reference
+from reference import Reference, euclid_chain
 from rscodec import (Field, KeyEquationProblem, Poly, cyclotomic_quotient,
                      evaluate_all, interpolate_all, interpolate_subset,
                      solve_key_equation)
@@ -101,6 +104,25 @@ def kernel_cases(m):
            lambda r: r.evaluate([], 3))
 
 
+def constant_divisor_cases(m):
+    """(id, fast, ref) for division by a constant, which up to BYTE_MAX_M
+    is one scaling of the dividend with an empty remainder."""
+    other = random.Random(400 + m).randrange(2, 1 << m)
+    dividends = {"zero": [0, 0, 0], "zero-lead": [0, 5, 0, 0],
+                 "zero-inside": [3, 0, 7, 0, 1], "constant": [6]}
+    for lead in (1, other):
+        for name, num in dividends.items():
+            den = [lead]
+            yield (f"divide_rows-constant-lead{lead}-{name}",
+                   lambda f, num=num, den=den: tuple(
+                       map(as_list, divide_rows(f, num, den))),
+                   lambda r, num=num, den=den: r.divide_rows(num, den))
+            yield (f"divmod-constant-lead{lead}-{name}",
+                   lambda f, num=num, den=den: tuple(
+                       p.coeffs for p in divmod(Poly(f, num), Poly(f, den))),
+                   lambda r, num=num, den=den: r.divmod(num, den))
+
+
 def transform_cases(m):
     """(id, fast, ref) for the transforms, the locator and the quotient."""
     field = Field(m)
@@ -166,7 +188,28 @@ def solve_cases(m):
         # with known = 2x + 3 it is not, so the solve inverts its lead
         ("not-monic", [0, 0, 1], [3, 2], 1),
         ("zero-known", [1, 0, 0, 0, 1], [], 2),
+        # known of degree stop - 1: no division at all
+        ("known-at-stop", [1, 0, 0, 0, 0, 1], [3, 0, 2], 3),
     ]
+    # remainder sequences by their quotients, each ending at stop = 1; the
+    # packed pass at m <= 8 must strip a remainder's zero leads, skip a
+    # zero quotient term, and carry each cofactor term at its own degree
+    chains = [
+        # x^3 + 2x + 1 drops the remainder from degree 5 to 2 before it,
+        # and its x^2 term is zero
+        ("degree-drops-three", [[3, 1], [1, 2, 0, 1], [4, 1]], [5, 3], [6]),
+        # x^3 + 3: two zero terms inside the quotient
+        ("zero-middle-terms", [[2, 1], [3, 0, 0, 1], [1, 1]], [2, 1], [7]),
+        # the last remainder is zero: the strip runs down to nothing
+        ("zero-remainder", [[3, 1], [1, 0, 1]], [2, 1], []),
+        # quotient leads other than 1 make the modulus and the last
+        # cofactor non-monic
+        ("not-monic-modulus", [[2, 5], [1, 3]], [4, 6], [3]),
+        ("not-monic-cofactor", [[1, 3], [2, 6], [5, 7]], [4, 2], [1]),
+    ]
+    for name, quotients, last, after in chains:
+        problems.append((name, *euclid_chain(field, quotients, last, after),
+                         1))
     for size in (ROW_KERNEL_MIN_LEN - 1, ROW_KERNEL_MIN_LEN, 41):
         modulus = row(rng, field, size - 1, lead=rng.randrange(1, field.order))
         known = row(rng, field, size - 3)
@@ -181,8 +224,8 @@ def solve_cases(m):
 
 CASES = [pytest.param(m, fast, ref, id=f"m{m}-{name}")
          for m in COUNT_M
-         for source in (kernel_cases, transform_cases, subset_cases,
-                        solve_cases)
+         for source in (kernel_cases, constant_divisor_cases,
+                        transform_cases, subset_cases, solve_cases)
          for name, fast, ref in source(m)]
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import tracked_euclid, trim
-from reference import Reference
+from reference import Reference, euclid_chain
 from rscodec import (
     Field,
     KeyEquationProblem,
@@ -130,9 +130,9 @@ XN_MINUS_ONE = [1] + [0] * (GF256.n - 1) + [1]
 def long_problems(draw):
     """(modulus, known, stop_degree) coefficient lists, the modulus monic
     with 2 to 81 coefficients, on both sides of ROW_KERNEL_MIN_LEN, where
-    the rows of a field with m >= 9 change form.  At m = 8 the one solve
-    runs on the kernels' byte rows at every length, and
-    tests/reference.py's solve on scalar loops."""
+    the rows of a field with m >= 9 change form.  At m = 8 the solve is
+    one packed pass at every length, and tests/reference.py's solve runs
+    on scalar loops."""
     degree = draw(st.one_of(st.integers(1, ROW_KERNEL_MIN_LEN - 1),
                             st.integers(ROW_KERNEL_MIN_LEN - 1, 80)))
     modulus = draw(st.lists(SYMBOLS, min_size=degree, max_size=degree)) + [1]
@@ -150,6 +150,17 @@ def long_problems(draw):
 @example(([5, 1], [], 1))                    # the shortest modulus
 @example(([9, 0, 1], [4], 1))                # a constant known, one step
 @example(([2] * 31 + [1], [7] * 31, 1))      # 32 coefficients, down to 1
+@example(([1, 0, 0, 0, 0, 1], [3, 0, 2], 3))  # known of degree stop - 1
+# remainder sequences by their quotients (tests/reference.py's euclid_chain):
+# a remainder dropping three degrees, under a quotient with a zero term
+@example((*euclid_chain(GF256, [[3, 1], [1, 2, 0, 1], [4, 1]], [5, 3], [6]),
+          1))
+# a quotient with two zero middle terms
+@example((*euclid_chain(GF256, [[2, 1], [3, 0, 0, 1], [1, 1]], [2, 1], [7]),
+          1))
+# a non-monic modulus, and a non-monic last cofactor
+@example((*euclid_chain(GF256, [[2, 5], [1, 3]], [4, 6], [3]), 1))
+@example((*euclid_chain(GF256, [[1, 3], [2, 6], [5, 7]], [4, 2], [1]), 1))
 def test_locator_degree_bound_on_both_solve_paths(case):
     # the decoders rely on this bound in place of a radius check: with
     # stop_degree = ceil((deg M + k + deg factor) / 2) it caps deg W at
