@@ -12,16 +12,15 @@ Each kernel alone chooses its arithmetic from the field's m.  Up to
 BYTE_MAX_M = 8 every element fits in a byte, so a row is a bytes object
 with one coefficient per byte: scaling is one bytes.translate through a
 256-byte table of byte_tables, and adding rows is one XOR of the rows
-read as ints, and numpy is never imported.  A constant divisor is one
-such scaling.  There the key-equation solver's divisions and cofactor
-products are one euclid_bytes pass, divide_rows' sibling, which keeps
-its remainders and cofactors packed from the first division to the last
-cofactor; from m = 9 on the solver calls the two kernels.  From m = 9 on
-each kernel takes its path from one operand's length, the longer factor
-of a product or the divisor of a division.  Below ROW_KERNEL_MIN_LEN
-coefficients it loops inline over the log/antilog tables and skips zero
-terms; from it each row is a single numpy gather-and-XOR, numpy imported
-on the first such row.  The
+read as ints, and numpy is never imported.  There the key-equation
+solver's divisions and cofactor products are one euclid_bytes pass,
+divide_rows' sibling, which keeps its remainders and cofactors packed
+from the first division to the last cofactor; from m = 9 on the solver
+calls the two kernels.  From m = 9 on each kernel takes its path from
+one operand's length, the longer factor of a product or the divisor of
+a division.  Below ROW_KERNEL_MIN_LEN coefficients it loops inline over
+the log/antilog tables and skips zero terms; from it each row is a
+single numpy gather-and-XOR, numpy imported on the first such row.  The
 erasure-locator product root_product keeps one packed int up to
 BYTE_MAX_M and multiplies one factor at a time through multiply_rows
 above it.  Evaluation is Horner's rule over the tables.  All paths give
@@ -168,15 +167,14 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
 
     num and den are coefficient rows as in multiply_rows, num at least as
     long as den and den with a nonzero lead.  Returns the quotient and the
-    remainder without trailing zeros.  Up to BYTE_MAX_M both are bytes: a
-    constant divisor is one translate of num by its inverse, and otherwise
-    the remainder is one int, num with its lead in the low byte, and each
-    step clears that byte with one translate of the divisor, one XOR and
-    one shift.  From m = 9 on the quotient is a list; below
-    ROW_KERNEL_MIN_LEN coefficients in the divisor each row is an inline
-    loop over its nonzero terms and the remainder a list, and from it each
-    row is one numpy gather-and-XOR and the remainder an intp array, a
-    view of num when num is one, since num is then reduced in place.
+    remainder without trailing zeros.  Up to BYTE_MAX_M both are bytes: the
+    remainder is one int, num with its lead in the low byte, and each step
+    clears that byte with one translate of the divisor, one XOR and one
+    shift.  From m = 9 on the quotient is a list; below ROW_KERNEL_MIN_LEN
+    coefficients in the divisor each row is an inline loop over its
+    nonzero terms and the remainder a list, and from it each row is one
+    numpy gather-and-XOR and the remainder an intp array, a view of num
+    when num is one, since num is then reduced in place.
     """
     dd = len(den) - 1
     if type(field) is not Field:
@@ -187,8 +185,6 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
     if field.m <= BYTE_MAX_M:
         mul = byte_tables(field).mul
         inv_lead = field._exp[field.n - field._log[den[dd]]]
-        if not dd:  # a constant divisor: one scaling, no remainder
-            return bytes(num).translate(mul[inv_lead]), b""
         # the divisor below its lead, monic and reversed to match rem
         tail = bytes(den)[-2::-1].translate(mul[inv_lead])
         rem = int.from_bytes(bytes(num), "big")

@@ -105,8 +105,8 @@ def kernel_cases(m):
 
 
 def constant_divisor_cases(m):
-    """(id, fast, ref) for division by a constant, which up to BYTE_MAX_M
-    is one scaling of the dividend with an empty remainder."""
+    """(id, fast, ref) for division by a constant: one quotient term per
+    dividend coefficient, by a divisor with no tail, and no remainder."""
     other = random.Random(400 + m).randrange(2, 1 << m)
     dividends = {"zero": [0, 0, 0], "zero-lead": [0, 5, 0, 0],
                  "zero-inside": [3, 0, 7, 0, 1], "constant": [6]}

@@ -350,6 +350,40 @@ def test_bench_pins_the_paper_counts(shape, counts):
     assert report.claim_holds
 
 
+# Steps 2a and 2b of bench(CodeParams(Field(m), k), trials, l=l, t=t,
+# seed=seed): per decoder and step, (mults, invs, iterations) summed over
+# the trials.  Step 2b is the key-equation solve, so these pin its counts
+# apart from the rest of the decode; they are what divide_rows and
+# multiply_rows count per division, which the packed m <= 8 pass matches.
+PINNED_STEP_COUNTS = [
+    ((4, 7, 2, None, 100, 0),
+     {"gao": {"2a": (2_800, 0, 0), "2b": (4_691, 192, 138)},
+      "truong": {"2a": (4_467, 0, 0), "2b": (5_385, 192, 138)},
+      "suggested": {"2a": (5_257, 0, 0), "2b": (4_691, 192, 138)}}),
+    ((8, 127, 32, None, 1, 88),
+     {"gao": {"2a": (7_168, 0, 0), "2b": (4_628, 11, 10)},
+      "truong": {"2a": (8_415, 0, 0), "2b": (5_300, 11, 10)},
+      "suggested": {"2a": (14_304, 0, 0), "2b": (4_628, 11, 10)}}),
+    ((8, 127, 64, 32, 2, 0),
+     {"gao": {"2a": (24_576, 0, 0), "2b": (24_765, 65, 63)},
+      "truong": {"2a": (33_150, 0, 0), "2b": (33_021, 65, 63)},
+      "suggested": {"2a": (49_024, 0, 0), "2b": (24_765, 65, 63)}}),
+]
+
+
+@pytest.mark.parametrize("shape, counts", PINNED_STEP_COUNTS,
+                         ids=["rs15-l2-100-trials", "rs255-k127-l32-seed88",
+                              "rs255-k127-l64-t32"])
+def test_bench_pins_the_key_equation_steps(shape, counts):
+    m, k, l, t, trials, seed = shape
+    report = bench(CodeParams(Field(m), k), trials, l=l, t=t, seed=seed,
+                   strict=False)
+    assert {name: {label: tuple(round(trials * getattr(step, what))
+                                for what in ("mults", "invs", "iterations"))
+                   for label, step in steps.items() if label in ("2a", "2b")}
+            for name, steps in report.mean_steps.items()} == counts
+
+
 def test_bench_fixed_t(rs73):
     report = bench(rs73, 6, l=2, t=1, seed=3)
     assert report.trial_t == (1,) * 6
