@@ -36,7 +36,9 @@ that returns a context manager, entered around each step with the labels
 0, 1, 2a, 2b and 3, and a method add_iterations(n), called once inside
 step 2b with the number of Euclidean iterations.  The workbench's
 OpCounter counts field operations this way, and perfbench's TimingProbe
-times the steps.  With counter=None the steps run bare.
+times the steps.  With counter=None the steps run bare: each enters the
+same module-level nullcontext, which holds no state, so a step that
+returns early leaves nothing behind for the next decode.
 
 Decode failures are values, not exceptions: out-of-range inputs raise
 ValueError, but an undecodable word returns DecodeResult.failure with a
@@ -143,8 +145,12 @@ def erasure_locator(params: CodeParams, positions) -> Poly:
     return root_product(params.field, check_positions(positions, params.n))
 
 
+# nullcontext keeps no state, so every bare step enters the same one
+_BARE_STEP = nullcontext()
+
+
 def _phase(counter, label: str):
-    return counter.step(label) if counter is not None else nullcontext()
+    return counter.step(label) if counter is not None else _BARE_STEP
 
 
 def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,

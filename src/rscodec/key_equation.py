@@ -16,15 +16,17 @@ solve leaves all arithmetic to polynomial's row kernels.  Up to
 BYTE_MAX_M = 8 the whole remainder sequence is one euclid_bytes pass,
 which keeps each remainder and cofactor as one packed int from the first
 division to the last cofactor: each quotient term updates both with one
-translate each, and no quotient row is built.  From m = 9 on solve runs
-the recurrence itself: each division is one divide_rows call, and each
-cofactor update one multiply_rows call.  Either way each half of the
-final scaling is one multiply_rows call, made only when the last cofactor
-is not already monic.  On a CountingField the kernels count their own
-schoolbook products, the pass counts per division what those two calls
-would (q (dd + [lead != 1]) multiplications and [lead != 1] inversions
-for the division, q len(v) for the cofactor update), and the solve
-counts the one inversion of the scaling.
+translate each, and no quotient row is built.  The pass also scales the
+last pair, one translate each, when the cofactor is not monic.  From
+m = 9 on solve runs the recurrence itself: each division is one
+divide_rows call, each cofactor update one multiply_rows call, and each
+half of the final scaling, made only when the last cofactor is not
+already monic, one more multiply_rows call.  On a CountingField the
+kernels count their own schoolbook products, and the pass counts what
+those calls would (q (dd + [lead != 1]) multiplications and
+[lead != 1] inversions per division, q len(v) per cofactor update,
+len(r) + len(v) for the scaling).  The one inversion of the scaling is
+counted by the pass up to BYTE_MAX_M and by solve from m = 9 on.
 """
 
 from __future__ import annotations
@@ -77,8 +79,10 @@ def solve(problem: KeyEquationProblem) -> KeyEquationSolution:
     polynomial yields (1, 0) in zero iterations.  The result satisfies
     locator * known = combination (mod modulus) with
     degree(combination) < stop_degree.  Up to BYTE_MAX_M the divisions
-    run as one euclid_bytes pass, from m = 9 on as one divide_rows and one
-    multiply_rows call each; with no division to make neither runs.
+    and the scaling run as one euclid_bytes pass.  From m = 9 on each
+    division is one divide_rows and one multiply_rows call, and the
+    scaling one inversion and two multiply_rows calls.  With no division
+    to make the locator is 1 and nothing runs.
     """
     field = problem.modulus.field
     r_prev, r_cur = problem.modulus.coeffs, problem.known.coeffs
@@ -86,22 +90,24 @@ def solve(problem: KeyEquationProblem) -> KeyEquationSolution:
     stop = problem.stop_degree
 
     iterations = 0
-    if field.m <= BYTE_MAX_M and len(r_cur) > stop:
-        r_cur, v_cur, iterations = euclid_bytes(field, r_prev, r_cur, stop)
-    while len(r_cur) > stop:  # from m = 9 on; degree(r_cur) >= stop
-        quot, r_next = divide_rows(field, r_prev, r_cur)
-        r_prev, r_cur = r_cur, r_next
-        # v_prev + quot * v_cur; the product has the higher degree
-        v_prev, v_cur = v_cur, multiply_rows(field, quot, v_cur, v_prev)
-        iterations += 1
-
-    if v_cur[-1] != 1:  # scale so the locator is monic
-        # from m = 9 on the lead may be a numpy scalar, which inv refuses
-        factor = (field.inv(int(v_cur[-1])),)
-        if type(field) is not Field:  # the kernels count the products
-            field.counter.add(0, 1)
-        v_cur = multiply_rows(field, factor, v_cur)
-        r_cur = multiply_rows(field, factor, r_cur)
+    if field.m <= BYTE_MAX_M:
+        if len(r_cur) > stop:  # the pass returns the pair already monic
+            r_cur, v_cur, iterations = euclid_bytes(field, r_prev, r_cur,
+                                                    stop)
+    else:
+        while len(r_cur) > stop:  # degree(r_cur) >= stop
+            quot, r_next = divide_rows(field, r_prev, r_cur)
+            r_prev, r_cur = r_cur, r_next
+            # v_prev + quot * v_cur; the product has the higher degree
+            v_prev, v_cur = v_cur, multiply_rows(field, quot, v_cur, v_prev)
+            iterations += 1
+        if v_cur[-1] != 1:  # scale so the locator is monic
+            # the lead may be a numpy scalar, which inv refuses
+            factor = (field.inv(int(v_cur[-1])),)
+            if type(field) is not Field:  # the kernels count the products
+                field.counter.add(0, 1)
+            v_cur = multiply_rows(field, factor, v_cur)
+            r_cur = multiply_rows(field, factor, r_cur)
     return KeyEquationSolution(locator=Poly._make(field, v_cur),
                                combination=Poly._make(field, r_cur),
                                iterations=iterations)

@@ -13,14 +13,15 @@ BYTE_MAX_M = 8 every element fits in a byte, so a row is a bytes object
 with one coefficient per byte: scaling is one bytes.translate through a
 256-byte table of byte_tables, and adding rows is one XOR of the rows
 read as ints, and numpy is never imported.  There the key-equation
-solver's divisions and cofactor products are one euclid_bytes pass,
-divide_rows' sibling, which keeps its remainders and cofactors packed
-from the first division to the last cofactor; from m = 9 on the solver
-calls the two kernels.  From m = 9 on each kernel takes its path from
-one operand's length, the longer factor of a product or the divisor of
-a division.  Below ROW_KERNEL_MIN_LEN coefficients it loops inline over
-the log/antilog tables and skips zero terms; from it each row is a
-single numpy gather-and-XOR, numpy imported on the first such row.  The
+solver's divisions, cofactor products and final scaling are one
+euclid_bytes pass, divide_rows' sibling, which keeps its remainders and
+cofactors packed from the first division to the last cofactor and
+returns that pair already monic; from m = 9 on the solver calls the two
+kernels.  From m = 9 on each kernel takes its path from one operand's
+length, the longer factor of a product or the divisor of a division.
+Below ROW_KERNEL_MIN_LEN coefficients it loops inline over the
+log/antilog tables and skips zero terms; from it each row is a single
+numpy gather-and-XOR, numpy imported on the first such row.  The
 erasure-locator product root_product keeps one packed int up to
 BYTE_MAX_M and multiplies one factor at a time through multiply_rows
 above it.  Evaluation is Horner's rule over the tables.  All paths give
@@ -31,10 +32,11 @@ counter what the schoolbook algorithm spends on operands of that shape:
 len(a) * len(b) multiplications for a product; q * (dd + [lead != 1])
 multiplications and [lead != 1] inversions for a division with q
 quotient terms by a divisor of degree dd, which euclid_bytes adds per
-division with q len(v) for its cofactor v; len(coeffs) for an evaluation;
-and l (l + 1) for a product of l roots, one multiply_rows by
-(x - alpha^e) per root.  tests/reference.py holds those schoolbook loops,
-counting their own products.
+division with q len(v) for its cofactor v, and len(r) + len(v)
+multiplications and one inversion when it scales its last pair (r, v);
+len(coeffs) for an evaluation; and l (l + 1) for a product of l roots,
+one multiply_rows by (x - alpha^e) per root.  tests/reference.py holds
+those schoolbook loops, counting their own products.
 """
 
 from __future__ import annotations
@@ -170,11 +172,12 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
     remainder without trailing zeros.  Up to BYTE_MAX_M both are bytes: the
     remainder is one int, num with its lead in the low byte, and each step
     clears that byte with one translate of the divisor, one XOR and one
-    shift.  From m = 9 on the quotient is a list; below ROW_KERNEL_MIN_LEN
-    coefficients in the divisor each row is an inline loop over its
-    nonzero terms and the remainder a list, and from it each row is one
-    numpy gather-and-XOR and the remainder an intp array, a view of num
-    when num is one, since num is then reduced in place.
+    shift, and writes it in place into the quotient row from the top
+    index down.  From m = 9 on the quotient is a list; below
+    ROW_KERNEL_MIN_LEN coefficients in the divisor each row is an inline
+    loop over its nonzero terms and the remainder a list, and from it
+    each row is one numpy gather-and-XOR and the remainder an intp array,
+    a view of num when num is one, since num is then reduced in place.
     """
     dd = len(den) - 1
     if type(field) is not Field:
@@ -183,19 +186,19 @@ def divide_rows(field: Field, num: Row, den: Row) -> tuple[Row, Row]:
         inverts = 0 if den[dd] == 1 else 1
         field.counter.add((len(num) - dd) * (dd + inverts), inverts)
     if field.m <= BYTE_MAX_M:
-        mul = byte_tables(field).mul
-        inv_lead = field._exp[field.n - field._log[den[dd]]]
+        mul, from_bytes = byte_tables(field).mul, int.from_bytes
+        over_lead = mul[field._exp[field.n - field._log[den[dd]]]]
         # the divisor below its lead, monic and reversed to match rem
-        tail = bytes(den)[-2::-1].translate(mul[inv_lead])
-        rem = int.from_bytes(bytes(num), "big")
-        tops = bytearray()
-        for _ in range(len(num) - dd):
+        translate = bytes(den)[-2::-1].translate(over_lead).translate
+        rem = from_bytes(bytes(num), "big")
+        tops = bytearray(len(num) - dd)
+        for s in range(len(tops) - 1, -1, -1):
             top = rem & 255
             rem >>= 8
-            tops.append(top)
             if top:
-                rem ^= int.from_bytes(tail.translate(mul[top]), "little")
-        return (bytes(tops)[::-1].translate(mul[inv_lead]),
+                tops[s] = top
+                rem ^= from_bytes(translate(mul[top]), "little")
+        return (bytes(tops).translate(over_lead),
                 rem.to_bytes(dd, "big").rstrip(b"\0"))
     exp, log, n = field._exp, field._log, field.n
     # log of 1/lead, so log(cur / lead) = log(cur) + inv_lead_log
@@ -236,18 +239,22 @@ def euclid_bytes(field: Field, modulus: Row, known: Row,
     Divides each remainder by the next, from (modulus, known), until one
     has at most stop coefficients, and carries each remainder's cofactor
     against known: v_next = v_prev + quotient * v_cur.  Returns that
-    remainder and its cofactor as bytes rows, and the number of divisions.
+    remainder and its cofactor as bytes rows, both scaled by one factor so
+    that the cofactor is monic, and the number of divisions.
 
     The sibling of divide_rows, kept packed from the first division to the
     last cofactor: a remainder is one int with its lead in the low byte,
     as divide_rows holds it, and a cofactor one little-endian int.  Each
     quotient term q clears a remainder's low byte with one translate of
     the divisor's tail by mul[q], and adds the same translate of the
-    current cofactor at its degree; no quotient row is built.  A
-    CountingField counts what divide_rows and multiply_rows count on those
-    operands: per division q * (dd + [lead != 1]) multiplications and
-    [lead != 1] inversions, with q quotient terms by a divisor of degree
-    dd, and q * len(v_cur) for the cofactor.
+    current cofactor at its degree; no quotient row is built.  A last
+    cofactor whose lead is not 1 and its remainder are scaled by one
+    translate each through mul[1 / lead].  A CountingField counts what
+    divide_rows and multiply_rows count on those operands: per division
+    q * (dd + [lead != 1]) multiplications and [lead != 1] inversions,
+    with q quotient terms by a divisor of degree dd, and q * len(v_cur)
+    for the cofactor; for the scaling one inversion and one product per
+    term of the pair.
     """
     exp, log, n = field._exp, field._log, field.n
     mul, from_bytes = byte_tables(field).mul, int.from_bytes
@@ -281,9 +288,16 @@ def euclid_bytes(field: Field, modulus: Row, known: Row,
         r_prev, r_cur, la, lb = r_cur, rem, lb, lr
         v_prev, v_cur, lv = v_cur, v_next, lv + terms - 1
         iterations += 1
+    r_row, v_row = r_cur.to_bytes(lb, "big"), v_cur.to_bytes(lv, "little")
+    if v_row[-1] != 1:  # scale the pair so that the cofactor is monic
+        over_lead = mul[exp[n - log[v_row[-1]]]]
+        r_row, v_row = r_row.translate(over_lead), v_row.translate(over_lead)
+        if counted:  # the inversion, then multiply_rows' count per row
+            mults += lb + lv
+            invs += 1
     if counted:
         field.counter.add(mults, invs)
-    return r_cur.to_bytes(lb, "big"), v_cur.to_bytes(lv, "little"), iterations
+    return r_row, v_row, iterations
 
 
 class Poly:

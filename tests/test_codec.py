@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+from contextlib import contextmanager
 from enum import IntEnum
 
 import pytest
@@ -20,6 +21,7 @@ from rscodec import (
     decode_truong,
     encode,
     erasure_locator,
+    evaluate_all,
 )
 from rscodec.workbench import CountingField, OpCounter
 
@@ -306,3 +308,69 @@ def test_large_field_round_trips():
     codeword = encode(params, range(1, 17))
     assert len(codeword) == params.n
     assert codeword[0] == functools.reduce(operator.xor, range(1, 17))
+
+
+class RecordingProbe:
+    """A probe that records each step's entry and exit, and the step
+    that reports the iterations; it fails if steps do not nest."""
+
+    def __init__(self):
+        self.events = []
+        self.open = []
+
+    @contextmanager
+    def step(self, label):
+        self.events.append(("enter", label))
+        self.open.append(label)
+        yield self
+        assert self.open.pop() == label
+        self.events.append(("exit", label))
+
+    def add_iterations(self, count):
+        self.events.append(("iterations", self.open[-1]))
+
+
+PROBED_DECODE = [event for label in ("0", "1", "2a", "2b", "3")
+                 for event in (("enter", label),
+                               *((("iterations", label),) if label == "2b"
+                                 else ()),
+                               ("exit", label))]
+
+
+@pytest.mark.parametrize("m, k, l", [(4, 7, 2), (8, 223, 8)],
+                         ids=["RS(15,7)", "RS(255,223)"])
+def test_bare_and_probed_decodes_agree(m, k, l):
+    # every bare step enters one shared null context, and step 3 returns
+    # from inside it on either failure; words at the radius, one error past
+    # it, and of a degree-k polynomial (no iteration, W = 1, so the
+    # quotient's degree overflows) are decoded in turn, bare and probed
+    params = CodeParams(Field(m), k)
+    rng = random.Random(m)
+    probe = RecordingProbe()
+    causes = set()
+    for trial in range(18):
+        message = tuple(rng.randrange(params.field.order) for _ in range(k))
+        kind = trial % 3
+        if kind < 2:
+            codeword = encode(params, message)
+            word = corrupt_word(rng, params, codeword,
+                                (params.d - 1 - l) // 2 + kind, l)
+            errors_only = corrupt_word(rng, params, codeword,
+                                       (params.d - 1) // 2 + kind, 0).symbols
+        else:
+            errors_only = evaluate_all(Poly(params.field, message + (1,)),
+                                       params.n)
+            word = ReceivedWord(errors_only, tuple(rng.sample(range(params.n),
+                                                              l)))
+        for decoder, received in ((decode_gao, word), (decode_truong, word),
+                                  (decode_suggested, word),
+                                  (decode_errors_only, errors_only)):
+            bare = decoder(params, received)
+            start = len(probe.events)
+            assert decoder(params, received, counter=probe) == bare
+            assert probe.events[start:] == PROBED_DECODE
+            assert not probe.open
+            if kind == 0:
+                assert bare.message == message
+            causes.add(bare.cause)
+    assert causes == {None, *FailureCause}

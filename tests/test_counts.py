@@ -11,24 +11,28 @@ equal multiplication and inversion counts.
 
 The cases cover m = 3, 4, 8, 9 and 10, rows on both sides of
 ROW_KERNEL_MIN_LEN, zero and trailing-zero operands, monic and non-monic
-divisors, constant divisors, scaling by 0, evaluation at 0, locators of
+divisors, constant divisors, quotients with zero terms at the low end
+and just below the lead, scaling by 0, evaluation at 0, locators of
 0, 1 and n - 1 roots, subset interpolation with more and with fewer
 survivors than erasures, and solves with no division, with remainders
 that drop several degrees at once or reach zero, with zero quotient
 terms, with non-monic moduli, and whose last cofactor is monic and whose
-is not.
+is not.  At m = 3, 4 and 8 the packed Euclid pass, euclid_bytes, also
+runs alone on each solve's problem: it returns the reference solve's
+pair, scaled so that the cofactor is monic, and counts what it counts.
 """
 
 import random
 
 import pytest
 
-from reference import Reference, euclid_chain
+from reference import Reference, euclid_chain, strip
 from rscodec import (Field, KeyEquationProblem, Poly, cyclotomic_quotient,
                      evaluate_all, interpolate_all, interpolate_subset,
                      solve_key_equation)
-from rscodec.polynomial import (ROW_KERNEL_MIN_LEN, divide_rows,
-                                multiply_rows, root_product)
+from rscodec.polynomial import (BYTE_MAX_M, ROW_KERNEL_MIN_LEN,
+                                divide_rows, euclid_bytes, multiply_rows,
+                                root_product)
 from rscodec.workbench import CountingField, OpCounter
 
 COUNT_M = (3, 4, 8, 9, 10)
@@ -96,6 +100,24 @@ def kernel_cases(m):
             yield (f"evaluate-{length}-at{at}", lambda f, a=a, at=at:
                    Poly(f, a).evaluate(at),
                    lambda r, a=a, at=at: r.evaluate(a, at))
+    # num = den * quot + a remainder shorter than den, so the quotient is
+    # quot, with zero terms at its low end, just below its lead, or both
+    quotients = {"xj": [0, 0, 0, 1], "low-zeros": [0, 0, other, 0, 1],
+                 "below-lead-zeros": [other, 0, 0, 1],
+                 "not-monic-xj": [0, 0, 0, 0, 0, other]}
+    for lead in (1, other):
+        den = row(rng, field, 4, lead=lead)
+        for name, quot in quotients.items():
+            num = Reference(field).multiply_rows(quot, den,
+                                                 row(rng, field, 3))
+            yield (f"divide_rows-quotient-{name}-lead{lead}",
+                   lambda f, num=num, den=den: tuple(
+                       map(as_list, divide_rows(f, num, den))),
+                   lambda r, num=num, den=den: r.divide_rows(num, den))
+            yield (f"divmod-quotient-{name}-lead{lead}",
+                   lambda f, num=num, den=den: tuple(
+                       p.coeffs for p in divmod(Poly(f, num), Poly(f, den))),
+                   lambda r, num=num, den=den: r.divmod(num, den))
     yield ("product-zero", lambda f: (Poly(f, []) * Poly(f, [3, 1])).coeffs,
            lambda r: r.product([], [3, 1]))
     yield ("scale-zero", lambda f: Poly(f, [0, 0]).scale(5).coeffs,
@@ -178,6 +200,12 @@ def subset_cases(m):
                lambda r, v=values, e=erasures: r.interpolate_subset(v, e))
 
 
+def euclid_solution(field, modulus, known, stop):
+    """euclid_bytes' rows in the form of solution_of's."""
+    r_row, v_row, iterations = euclid_bytes(field, modulus, known, stop)
+    return tuple(v_row), tuple(r_row), iterations
+
+
 def solve_cases(m):
     """(id, fast, ref) for the key-equation solve."""
     field = Field(m)
@@ -215,11 +243,22 @@ def solve_cases(m):
         known = row(rng, field, size - 3)
         stop = rng.randrange(1, size - 1)
         problems.append((f"{size}", modulus, known, stop))
+    for i in range(6):  # short ones, with moduli of random leads
+        size = rng.randrange(3, 24)
+        modulus = row(rng, field, size - 1, lead=rng.randrange(1, field.order))
+        problems.append((f"random{i}", modulus, row(rng, field, size - 1),
+                         rng.randrange(1, size - 1)))
     for name, modulus, known, stop in problems:
         yield (f"solve-{name}", lambda f, a=modulus, b=known, s=stop:
                solution_of(solve_key_equation(KeyEquationProblem(
                    Poly(f, a), Poly(f, b), s))),
                lambda r, a=modulus, b=known, s=stop: r.solve(a, b, s))
+        if m <= BYTE_MAX_M:
+            # the packed pass alone returns solve's monic pair and count
+            yield (f"euclid_bytes-{name}",
+                   lambda f, a=strip(modulus), b=strip(known), s=stop:
+                   euclid_solution(f, a, b, s),
+                   lambda r, a=modulus, b=known, s=stop: r.solve(a, b, s))
 
 
 CASES = [pytest.param(m, fast, ref, id=f"m{m}-{name}")

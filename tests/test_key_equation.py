@@ -1,5 +1,6 @@
 """Partial extended Euclidean key equation solver."""
 
+import functools
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from rscodec import (
     solve_key_equation,
     xn_minus_one,
 )
-from rscodec.polynomial import ROW_KERNEL_MIN_LEN
+from rscodec import key_equation
+from rscodec.polynomial import BYTE_MAX_M, ROW_KERNEL_MIN_LEN
 
 
 def rand_problem(rng, field, max_modulus_degree):
@@ -173,3 +175,35 @@ def test_locator_degree_bound_on_both_solve_paths(case):
     assert ((solution.locator.coeffs, solution.combination.coeffs,
              solution.iterations)
             == Reference(GF256).solve(modulus, known, stop))
+
+
+@pytest.mark.parametrize("m", [3, 4, 8, 9])
+def test_only_m_from_9_scales_through_multiply_rows_and_inv(m, monkeypatch):
+    # up to BYTE_MAX_M euclid_bytes returns the pair already monic, so solve
+    # neither inverts the cofactor's lead nor scales with multiply_rows
+    field = Field(m)
+    quotients = [[1, 3], [2, 6], [5, 7]]
+    # the last cofactor's lead is the product of the quotients' leads
+    assert functools.reduce(field.mul, (q[-1] for q in quotients)) != 1
+    modulus, known = euclid_chain(field, quotients, [4, 2], [1])
+    expected = Reference(field).solve(modulus, known, 1)
+    calls = []
+
+    def forbid_below_9(name, kernel):
+        def wrapped(*args):
+            if m <= BYTE_MAX_M:
+                raise AssertionError(f"solve called {name} at m = {m}")
+            calls.append(name)
+            return kernel(*args)
+        return wrapped
+
+    monkeypatch.setattr(key_equation, "multiply_rows", forbid_below_9(
+        "multiply_rows", key_equation.multiply_rows))
+    monkeypatch.setattr(Field, "inv", forbid_below_9("inv", Field.inv))
+    solution = solve_key_equation(KeyEquationProblem(
+        Poly(field, modulus), Poly(field, known), 1))
+    assert ((solution.locator.coeffs, solution.combination.coeffs,
+             solution.iterations) == expected)
+    # from m = 9 on: one cofactor product per division, then the scaling
+    assert calls == ([] if m <= BYTE_MAX_M else
+                     ["multiply_rows"] * 3 + ["inv"] + ["multiply_rows"] * 2)
