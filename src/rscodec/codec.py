@@ -10,9 +10,9 @@ whose steps carry the labels a counter= argument sees: 0 builds the
 erasure locator L (1 when nothing is erased); 1 interpolates; 2a prepares
 the modulus, the known polynomial reduced below it and an optional
 divisor factor; 2b finds W and P with W * known = P (mod modulus) by one
-partial extended Euclidean solve; 3 divides P by W, times the factor if
-any.  The solve's stop degree already bounds deg W by (d - 1 - l) / 2, so
-step 3 needs no separate radius check.  Steps 1 and 2a are each
+partial extended Euclidean solve, polynomial.solve; 3 divides P by W,
+times the factor if any.  The solve's stop degree already bounds deg W
+by (d - 1 - l) / 2, so step 3 needs no separate radius check.  Steps 1 and 2a are each
 algorithm's own:
 
   decode_gao           interpolate_subset: the n - l non-erased positions
@@ -28,6 +28,14 @@ algorithm's own:
 The gao and suggested pipelines compute identical reduced polynomials by
 two different routes, and the truong pipeline carries the same data scaled
 by the erasure locator; on any input all of them stand or fall together.
+Exactly: with Q = (x^n - 1) / L, x^n - 1 = L * Q gives
+R * L mod (x^n - 1) = L * (R mod Q), truong's stop degree
+floor((n + k + l + 1) / 2) is suggested's floor((n - l + k + 1) / 2) plus
+l, and L is monic.  So the two solves make the same quotients, in as many
+iterations, to the same W, and each of truong's remainders is L times
+suggested's.  suggested never takes more iterations than truong, and
+their multiplications differ only by suggested's step 2a against the l
+longer rows of truong's steps 2b and 3.
 DECODERS maps the names gao, truong and suggested to the three erasure
 pipelines, which share the signature (params, received, *, counter=None).
 
@@ -52,8 +60,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .galois import Field
-from .key_equation import KeyEquationProblem, solve
-from .polynomial import Poly, root_product, xn_minus_one
+from .polynomial import (KeyEquationProblem, Poly, root_product, solve,
+                         xn_minus_one)
 from .spectral import (check_positions, cyclotomic_quotient, evaluate_all,
                        interpolate_all, interpolate_subset)
 
@@ -207,7 +215,7 @@ def _interpolate_all(field: Field, symbols, erasures) -> Poly:
 
 
 def _reduced_modulus(received: Poly, locator: Poly):
-    modulus = cyclotomic_quotient(locator, received.field.n)
+    modulus = cyclotomic_quotient(locator)
     return received % modulus, modulus, None
 
 
@@ -217,7 +225,7 @@ def _locator_product(received: Poly, locator: Poly):
     coeffs = list((received * locator).coeffs)
     for i in range(n, len(coeffs)):
         coeffs[i - n] ^= coeffs[i]
-    return Poly._make(field, coeffs[:n]), xn_minus_one(field, n), locator
+    return Poly._make(field, coeffs[:n]), xn_minus_one(field), locator
 
 
 def decode_errors_only(params: CodeParams, symbols, *,

@@ -43,8 +43,7 @@ class Field:
     is rejected at construction time.
     """
 
-    __slots__ = ("m", "prim_poly", "order", "n", "alpha", "_exp", "_log",
-                 "_hash")
+    __slots__ = ("m", "prim_poly", "order", "n", "_exp", "_log", "_hash")
 
     def __init__(self, m: int, prim_poly: int | None = None):
         if type(m) is not int or not MIN_M <= m <= MAX_M:  # bool fails too
@@ -66,7 +65,6 @@ class Field:
         self.prim_poly = prim_poly
         self.order = 1 << m
         self.n = self.order - 1
-        self.alpha = 2
 
         exp = [0] * (2 * self.n)
         log = [0] * self.order
@@ -126,11 +124,6 @@ class Field:
     def check_element(self, a: int) -> int:
         """a, checked to be an element as by check_elements."""
         return self.check_elements((a,))[0]
-
-    @property
-    def antilog_table(self) -> tuple[int, ...]:
-        """antilog_table[j] = alpha**j for j in [0, 2^m - 1)."""
-        return self._exp[:self.n]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Field):

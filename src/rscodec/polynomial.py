@@ -1,4 +1,5 @@
-"""Dense univariate polynomials over GF(2^m).
+"""Dense univariate polynomials over GF(2^m), their row kernels, and the
+key-equation solve that every decoder runs.
 
 coeffs[i] is the coefficient of x^i.  Every Poly is normalized: the last
 stored coefficient is nonzero, and the zero polynomial stores nothing at
@@ -6,19 +7,15 @@ all.  Its degree is the MINUS_INF sentinel rather than any integer, so a
 degree comparison can never confuse the zero polynomial with a constant.
 
 Every product and division goes through one of two row kernels,
-multiply_rows and divide_rows, which Poly's product, division and scaling
-call once each; a row is one operand scaled by one term of the other.
-Each kernel alone chooses its arithmetic from the field's m.  Up to
+multiply_rows and divide_rows, which Poly's product and division call
+once each; a row is one operand scaled by one term of the other.  Each
+kernel alone chooses its arithmetic from the field's m.  Up to
 BYTE_MAX_M = 8 every element fits in a byte, so a row is a bytes object
 with one coefficient per byte: scaling is one bytes.translate through a
 256-byte table of byte_tables, and adding rows is one XOR of the rows
-read as ints, and numpy is never imported.  There the key-equation
-solver's divisions, cofactor products and final scaling are one
-euclid_bytes pass, divide_rows' sibling, which keeps its remainders and
-cofactors packed from the first division to the last cofactor and
-returns that pair already monic; from m = 9 on the solver calls the two
-kernels.  From m = 9 on each kernel takes its path from one operand's
-length, the longer factor of a product or the divisor of a division.
+read as ints, and numpy is never imported.  From m = 9 on each kernel
+takes its path from one operand's length, the longer factor of a
+product or the divisor of a division.
 Below ROW_KERNEL_MIN_LEN coefficients it loops inline over the
 log/antilog tables and skips zero terms; from it each row is a single
 numpy gather-and-XOR, numpy imported on the first such row.  The
@@ -27,21 +24,37 @@ BYTE_MAX_M and multiplies one factor at a time through multiply_rows
 above it.  Evaluation is Horner's rule over the tables.  All paths give
 bit-identical results, as plain ints.
 
+Every decoder reduces to one key equation: given a modulus and a known
+polynomial below it, find the monic locator W of lowest degree and the
+combination P with W * known = P (mod modulus) and deg P below a stop
+degree.  solve runs the extended Euclidean algorithm on (modulus, known)
+and stops at the first remainder below the stop degree: that remainder
+is P and its cofactor against known is W, both scaled by one factor so
+that W is monic.  Only the remainders and the known-side cofactors are
+tracked, which is all the congruence needs.  Up to BYTE_MAX_M the whole
+solve, the scaling included, is one euclid_bytes pass over packed ints.
+From m = 9 on solve runs the recurrence itself: one divide_rows and one
+multiply_rows call per division, and, only when the last cofactor is not
+already monic, one inversion and two multiply_rows calls to scale the
+pair.
+
 The workbench's CountingField runs the same arithmetic and adds to its
 counter what the schoolbook algorithm spends on operands of that shape:
 len(a) * len(b) multiplications for a product; q * (dd + [lead != 1])
 multiplications and [lead != 1] inversions for a division with q
 quotient terms by a divisor of degree dd, which euclid_bytes adds per
 division with q len(v) for its cofactor v, and len(r) + len(v)
-multiplications and one inversion when it scales its last pair (r, v);
-len(coeffs) for an evaluation; and l (l + 1) for a product of l roots,
-one multiply_rows by (x - alpha^e) per root.  tests/reference.py holds
-those schoolbook loops, counting their own products.
+multiplications and one inversion when it scales its last pair (r, v),
+the inversion that solve counts itself from m = 9 on; len(coeffs) for an
+evaluation; and l (l + 1) for a product of l roots, one multiply_rows by
+(x - alpha^e) per root.  tests/reference.py holds those schoolbook
+loops, counting their own products.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -240,7 +253,9 @@ def euclid_bytes(field: Field, modulus: Row, known: Row,
     has at most stop coefficients, and carries each remainder's cofactor
     against known: v_next = v_prev + quotient * v_cur.  Returns that
     remainder and its cofactor as bytes rows, both scaled by one factor so
-    that the cofactor is monic, and the number of divisions.
+    that the cofactor is monic, and the number of divisions.  A known
+    with at most stop coefficients, zero included, comes back as it is
+    with the cofactor 1, in no divisions and at no count.
 
     The sibling of divide_rows, kept packed from the first division to the
     last cofactor: a remainder is one int with its lead in the low byte,
@@ -331,14 +346,6 @@ class Poly:
         p.coeffs = tuple(coeffs)
         return p
 
-    @classmethod
-    def zero(cls, field: Field) -> Poly:
-        return cls._make(field, [])
-
-    @classmethod
-    def one(cls, field: Field) -> Poly:
-        return cls._make(field, [1])
-
     @property
     def degree(self) -> int | float:
         """Degree of the polynomial; MINUS_INF for the zero polynomial."""
@@ -400,12 +407,6 @@ class Poly:
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
 
-    def scale(self, c: int) -> Poly:
-        """Product with the scalar c, an element of the field."""
-        f = self.field
-        return Poly._make(f, multiply_rows(f, self.coeffs,
-                                           (f.check_element(c),)))
-
     def evaluate(self, at: int) -> int:
         """Value of the polynomial at the element at, by Horner's rule."""
         f = self.field
@@ -439,11 +440,10 @@ class Poly:
         return f"Poly(GF(2^{self.field.m}), {list(self.coeffs)})"
 
 
-def xn_minus_one(field: Field, n: int) -> Poly:
-    """x^n - 1, which in characteristic 2 is x^n + 1; n a positive int."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive int, got {n!r}")
-    return Poly._make(field, [1] + [0] * (n - 1) + [1])
+def xn_minus_one(field: Field) -> Poly:
+    """x^n - 1 for the field's n = 2^m - 1; in characteristic 2 it is
+    x^n + 1."""
+    return Poly._make(field, [1] + [0] * (field.n - 1) + [1])
 
 
 def root_product(field: Field, exponents: Iterable[int]) -> Poly:
@@ -469,3 +469,73 @@ def root_product(field: Field, exponents: Iterable[int]) -> Poly:
     for e in exponents:
         row = multiply_rows(field, row, (field.alpha_pow(e), 1))
     return Poly._make(field, row)
+
+
+@dataclass(frozen=True)
+class KeyEquationProblem:
+    """One instance of the key equation to solve.
+
+    stop_degree is exclusive: iteration ends at the first remainder with
+    degree(remainder) < stop_degree.
+    """
+
+    modulus: Poly
+    known: Poly
+    stop_degree: int
+
+    def __post_init__(self) -> None:
+        self.known._compat(self.modulus)
+        if self.known.degree >= self.modulus.degree:
+            raise ValueError(
+                f"known degree {self.known.degree} must be below "
+                f"modulus degree {self.modulus.degree}")
+        if (type(self.stop_degree) is not int
+                or not 0 < self.stop_degree <= self.modulus.degree):
+            raise ValueError(
+                f"stop_degree must be an int in (0, {self.modulus.degree}], "
+                f"got {self.stop_degree!r}")
+
+
+@dataclass(frozen=True)
+class KeyEquationSolution:
+    """Monic locator, matching combination, and the iteration count."""
+
+    locator: Poly
+    combination: Poly
+    iterations: int
+
+
+def solve(problem: KeyEquationProblem) -> KeyEquationSolution:
+    """Run the partial extended Euclidean algorithm on one problem.
+
+    Returns the pair scaled so the locator is monic.  A zero known
+    polynomial yields (1, 0) in zero iterations.  The result satisfies
+    locator * known = combination (mod modulus) with
+    degree(combination) < stop_degree.  See the module docstring for how
+    each m runs and counts it.
+    """
+    field = problem.modulus.field
+    r_prev, r_cur = problem.modulus.coeffs, problem.known.coeffs
+    stop = problem.stop_degree
+
+    if field.m <= BYTE_MAX_M:  # the pass returns the pair already monic
+        r_cur, v_cur, iterations = euclid_bytes(field, r_prev, r_cur, stop)
+    else:
+        v_prev, v_cur = [], [1]
+        iterations = 0
+        while len(r_cur) > stop:  # degree(r_cur) >= stop
+            quot, r_next = divide_rows(field, r_prev, r_cur)
+            r_prev, r_cur = r_cur, r_next
+            # v_prev + quot * v_cur; the product has the higher degree
+            v_prev, v_cur = v_cur, multiply_rows(field, quot, v_cur, v_prev)
+            iterations += 1
+        if v_cur[-1] != 1:  # scale so the locator is monic
+            # the lead may be a numpy scalar, which inv refuses
+            factor = (field.inv(int(v_cur[-1])),)
+            if type(field) is not Field:  # the kernels count the products
+                field.counter.add(0, 1)
+            v_cur = multiply_rows(field, factor, v_cur)
+            r_cur = multiply_rows(field, factor, r_cur)
+    return KeyEquationSolution(locator=Poly._make(field, v_cur),
+                               combination=Poly._make(field, r_cur),
+                               iterations=iterations)

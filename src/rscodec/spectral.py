@@ -395,6 +395,7 @@ def evaluate_all(p: Poly, n: int) -> tuple[int, ...]:
     """Evaluate p at every power of alpha: out[i] = p(alpha^i).
 
     Requires degree(p) < n and n = 2^m - 1 for the polynomial's field.
+    n stays although the field fixes it: perfbench times evaluate_all(p, n).
     """
     field = p.field
     if n != field.n:
@@ -487,24 +488,23 @@ def interpolate_subset(field: Field, values: Sequence[int],
         field, [-e % n for e in missing], inverses)))
 
 
-def cyclotomic_quotient(erasure_locator: Poly, n: int) -> Poly:
-    """Exact quotient (x^n - 1) / locator.
+def cyclotomic_quotient(erasure_locator: Poly) -> Poly:
+    """Exact quotient (x^n - 1) / locator, n = 2^m - 1 for its field.
 
     Every root of the locator must be an n-th root of unity; a nonzero
     remainder means it was not built from distinct alpha powers.
     """
     field = erasure_locator.field
-    if n != field.n:
-        raise ValueError(f"n must be {field.n} for GF(2^{field.m}), got {n}")
+    n = field.n
     if erasure_locator.coeffs == (1,):
-        return xn_minus_one(field, n)
+        return xn_minus_one(field)
     l = erasure_locator.degree
     if 1 <= l < n:
         if type(field) is not Field:  # the long division it replaces
             inverts = 0 if erasure_locator.lead == 1 else 1
             field.counter.add((n + 1 - l) * (l + inverts), inverts)
         return _closed_form_quotient(erasure_locator)
-    quot, rem = divmod(xn_minus_one(field, n), erasure_locator)
+    quot, rem = divmod(xn_minus_one(field), erasure_locator)
     if not rem.is_zero:
         raise ValueError("locator does not divide x^n - 1")
     return quot

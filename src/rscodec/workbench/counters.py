@@ -5,7 +5,7 @@ table-driven kernels and transforms.  Each site that does field work adds,
 through its OpCounter's add, the multiplications and inversions that the
 schoolbook algorithm makes on operands of that shape: len(a) * len(b) for
 a product, one per coefficient for a Horner evaluation, n per coefficient
-for a transform, and so on (see polynomial, spectral and key_equation).
+for a transform, and so on (see polynomial and spectral).
 Additions are single XORs and go uncounted.  The counts depend on the
 operands' lengths and leads only, so two runs over the same input always
 produce the same counts.

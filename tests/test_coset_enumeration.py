@@ -21,7 +21,17 @@ bruteforce's Lagrange formula.
 
 Run as a script, `python tests/test_coset_enumeration.py K ...` makes the
 same checks for each RS(7, K) and prints the number of decodes; RS(7, 4)
-takes 98,304.
+takes 98,304 and RS(7, 3) 1,216,512.
+
+The codewords are evaluations at all n powers of alpha, so a cyclic
+shift of the positions, the Frobenius map (square every symbol and move
+position j to 2j mod n) and a nonzero scalar each map the code onto
+itself.  Enumerating one erasure set per orbit of the shift and
+Frobenius maps, and one coset tail per scalar class, would cover every
+word of codes too large to enumerate whole, such as RS(15, 11).  That
+reduction rests on test_decoding_commutes_with_the_code_automorphisms,
+which checks on sampled words that every decoder's message, cause and
+iteration count move with each map.
 """
 
 import random
@@ -166,6 +176,53 @@ def test_decoding_commutes_with_adding_a_codeword(m, words):
             if message is not None:
                 message = tuple(a ^ b for a, b in zip(message, shift))
             assert moved == (message, cause, iterations)
+
+
+@pytest.mark.parametrize("m, words", [(3, 150), (4, 150), (8, 30)])
+def test_decoding_commutes_with_the_code_automorphisms(m, words):
+    # the codewords are evaluations at every power of alpha, so a cyclic
+    # shift, the Frobenius map and a nonzero scalar each map the code onto
+    # itself; the decode of a mapped word is the mapped decode, or the
+    # same failure in as many Euclidean iterations
+    field = Field(m)
+    rng = random.Random(f"automorphisms/{m}")
+    n, order, mul = field.n, field.order, field.mul
+    for _ in range(words):
+        params = CodeParams(field, rng.randrange(1, n))
+        l = rng.randrange(params.d)
+        t = min(n - l, (params.d - 1 - l) // 2 + rng.randrange(3))
+        sent = encode(params, [rng.randrange(order)
+                               for _ in range(params.k)])
+        positions = rng.sample(range(n), t + l)
+        symbols = list(sent)
+        for pos in positions[:t]:
+            symbols[pos] ^= rng.randrange(1, order)
+        erasures = positions[t:]
+        s, c = rng.randrange(1, n), rng.randrange(2, order)
+        squared = [0] * n
+        for j, a in enumerate(symbols):
+            squared[2 * j % n] = mul(a, a)
+        maps = (
+            # y'_i = y_(i+s) is the codeword of M(alpha^s x)
+            ([symbols[(i + s) % n] for i in range(n)],
+             [(e - s) % n for e in erasures],
+             lambda msg: [mul(a, field.alpha_pow(s * j))
+                          for j, a in enumerate(msg)]),
+            # y'_(2j) = y_j^2 is the codeword of M with squared coefficients
+            (squared, [2 * e % n for e in erasures],
+             lambda msg: [mul(a, a) for a in msg]),
+            # c y is the codeword of c M
+            ([mul(c, a) for a in symbols], erasures,
+             lambda msg: [mul(c, a) for a in msg]),
+        )
+        decoded = decode_every_way(params, symbols, erasures)
+        for mapped, mapped_erasures, move in maps:
+            for (message, cause, iterations), got in zip(
+                    decoded, decode_every_way(params, mapped,
+                                              mapped_erasures)):
+                if message is not None:
+                    message = tuple(move(message))
+                assert got == (message, cause, iterations)
 
 
 if __name__ == "__main__":

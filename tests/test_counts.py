@@ -2,7 +2,8 @@
 
 A CountingField computes by the fast kernels and transforms, and each
 site adds what the schoolbook algorithm spends on operands of that shape:
-the row kernels, Poly's product, division, scaling and evaluation, the
+the row kernels, Poly's product (by a constant too), division and
+evaluation, the
 transforms, the erasure-locator product, the cyclotomic quotient, the
 subset interpolation and the key-equation solve.  tests/reference.py runs
 those algorithms one counted operation at a time.  Each case here runs
@@ -12,7 +13,7 @@ equal multiplication and inversion counts.
 The cases cover m = 3, 4, 8, 9 and 10, rows on both sides of
 ROW_KERNEL_MIN_LEN, zero and trailing-zero operands, monic and non-monic
 divisors, constant divisors, quotients with zero terms at the low end
-and just below the lead, scaling by 0, evaluation at 0, locators of
+and just below the lead, products by 0, evaluation at 0, locators of
 0, 1 and n - 1 roots, subset interpolation with more and with fewer
 survivors than erasures, and solves with no division, with remainders
 that drop several degrees at once or reach zero, with zero quotient
@@ -94,8 +95,8 @@ def kernel_cases(m):
                lambda r, a=a, b=b: r.product(a, b))
         for c in (0, 1, other):
             yield (f"scale-{length}-by{c}", lambda f, a=a, c=c:
-                   Poly(f, a).scale(c).coeffs,
-                   lambda r, a=a, c=c: r.scale(a, c))
+                   (Poly(f, a) * Poly(f, [c])).coeffs,
+                   lambda r, a=a, c=c: r.product(a, [c]))
         for at in (0, 1, field.alpha_pow(5)):
             yield (f"evaluate-{length}-at{at}", lambda f, a=a, at=at:
                    Poly(f, a).evaluate(at),
@@ -120,8 +121,8 @@ def kernel_cases(m):
                    lambda r, num=num, den=den: r.divmod(num, den))
     yield ("product-zero", lambda f: (Poly(f, []) * Poly(f, [3, 1])).coeffs,
            lambda r: r.product([], [3, 1]))
-    yield ("scale-zero", lambda f: Poly(f, [0, 0]).scale(5).coeffs,
-           lambda r: r.scale([0, 0], 5))
+    yield ("scale-zero", lambda f: (Poly(f, [0, 0]) * Poly(f, [5])).coeffs,
+           lambda r: r.product([0, 0], [5]))
     yield ("evaluate-zero", lambda f: Poly(f, []).evaluate(3),
            lambda r: r.evaluate([], 3))
 
@@ -171,15 +172,15 @@ def transform_cases(m):
                lambda r, e=roots: r.root_product(e))
         locator = Reference(field).root_product(roots)
         yield (f"cyclotomic_quotient-{l}", lambda f, c=locator:
-               cyclotomic_quotient(Poly(f, c), n).coeffs,
+               cyclotomic_quotient(Poly(f, c)).coeffs,
                lambda r, c=locator: r.cyclotomic_quotient(c))
         if l:
             scaled = Reference(field).scale(locator, field.alpha_pow(l))
             yield (f"cyclotomic_quotient-{l}-not-monic", lambda f, c=scaled:
-                   cyclotomic_quotient(Poly(f, c), n).coeffs,
+                   cyclotomic_quotient(Poly(f, c)).coeffs,
                    lambda r, c=scaled: r.cyclotomic_quotient(c))
     yield ("cyclotomic_quotient-constant", lambda f:
-           cyclotomic_quotient(Poly(f, [5]), n).coeffs,
+           cyclotomic_quotient(Poly(f, [5])).coeffs,
            lambda r: r.cyclotomic_quotient([5]))
 
 

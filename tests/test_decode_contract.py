@@ -13,7 +13,8 @@ GF(2^10), go through all four decoders.  On every word:
     and on a CountingField it spends the same multiplications,
     inversions and iterations in every step;
   - at RS(15, k <= 3), every ok result is the brute-force oracle's unique
-    nearest codeword.
+    nearest codeword, and every word within (d - 1 - l) / 2 of that
+    codeword decodes to it.
 
 Separately, a sha256 over every decoder's answers and iteration counts on
 seeded RS(15,7), RS(255,223) and RS(255,127) blocks is pinned.
@@ -138,17 +139,28 @@ def test_decoders_return_the_nearest_codeword(k):
     # RS(15, k) has at most 16^3 codewords, few enough to search them all
     params = CodeParams(FIELDS[4], k)
     rng = random.Random(k)
-    past_radius = 0
+    past_radius = near_another = 0
     for _ in range(1000):
         message, word, t = corrupted(params, rng)
         plain = check_contract(params, message, word, t)
         nearest = nearest_message(params, word)
-        if 2 * t + len(word.erasures) < params.d:
+        l = len(word.erasures)
+        if 2 * t + l < params.d:
             assert nearest == message
         else:
             past_radius += 1
         for result, _ in plain[:3]:
             assert not result.ok or result.message == nearest
+        # complete: past the sent codeword's radius, a word that lies
+        # within (d - 1 - l) / 2 of the nearest codeword decodes to it
+        if nearest is not None and 2 * t + l >= params.d:
+            codeword = encode(params, nearest)
+            distance = sum(1 for i in range(params.n) if i not in
+                           word.erasures and codeword[i] != word.symbols[i])
+            if 2 * distance + l < params.d:
+                near_another += 1
+                for result, _ in plain[:3]:
+                    assert result.ok and result.message == nearest
         # errors-only reads every symbol, the zero-filled erasures included
         errors_only = plain[3][0]
         sent = encode(params, message)
@@ -158,6 +170,7 @@ def test_decoders_return_the_nearest_codeword(k):
             assert nearest == errors_only.message == message
         assert not errors_only.ok or errors_only.message == nearest
     assert past_radius >= 200
+    assert near_another >= 40
 
 
 # sha256 of every decoder's (name, message, cause, iterations) on the

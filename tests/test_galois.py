@@ -22,7 +22,7 @@ def test_default_poly_constructs(m):
     field = Field(m)
     assert field.n == (1 << m) - 1
     assert field.order == 1 << m
-    assert field.alpha == 2
+    assert field.alpha_pow(1) == 2
 
 
 @pytest.mark.parametrize("m", range(3, 9))
@@ -31,7 +31,7 @@ def test_tables_match_shift_and_reduce(m):
     prim = field.prim_poly
     x = 1
     for i in range(field.n):
-        assert field.antilog_table[i] == x
+        assert field.alpha_pow(i) == x
         assert field.log(x) == i
         x = slow_mul(m, prim, x, 2)
     assert x == 1  # alpha has full order
@@ -42,7 +42,7 @@ def test_worked_products_gf8(gf8):
     assert gf8.mul(7, 5) == 6
     assert gf8.inv(2) == 5
     assert gf8.alpha_pow(3) == 3
-    assert gf8.antilog_table == (1, 2, 4, 3, 6, 7, 5)
+    assert tuple(map(gf8.alpha_pow, range(7))) == (1, 2, 4, 3, 6, 7, 5)
 
 
 def test_mul_exhaustive_gf8(gf8):

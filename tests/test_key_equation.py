@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from bruteforce import tracked_euclid, trim
 from reference import Reference, euclid_chain
 from rscodec import (
+    CodeParams,
     Field,
     KeyEquationProblem,
     Poly,
+    erasure_locator,
     evaluate_all,
     interpolate_all,
     solve_key_equation,
     xn_minus_one,
 )
-from rscodec import key_equation
+from rscodec import codec, polynomial
 from rscodec.polynomial import BYTE_MAX_M, ROW_KERNEL_MIN_LEN
 
 
@@ -31,7 +33,7 @@ def rand_problem(rng, field, max_modulus_degree):
 
 
 def test_problem_validation(gf8, gf16):
-    modulus = xn_minus_one(gf8, 7)
+    modulus = xn_minus_one(gf8)
     good = Poly(gf8, [1, 2, 3])
     KeyEquationProblem(modulus=modulus, known=good, stop_degree=4)
     with pytest.raises(ValueError, match="must be below"):
@@ -48,14 +50,14 @@ def test_problem_validation(gf8, gf16):
 @pytest.mark.parametrize("stop", [1.0, True, 2.5])
 def test_problem_refuses_non_int_stop_degree(gf8, stop):
     with pytest.raises(ValueError, match="stop_degree must be an int"):
-        KeyEquationProblem(modulus=xn_minus_one(gf8, 7),
+        KeyEquationProblem(modulus=xn_minus_one(gf8),
                            known=Poly(gf8, [1, 2, 3]), stop_degree=stop)
 
 
 def test_zero_known_is_trivial(gf8):
     solution = solve_key_equation(KeyEquationProblem(
-        modulus=xn_minus_one(gf8, 7), known=Poly.zero(gf8), stop_degree=3))
-    assert solution.locator == Poly.one(gf8)
+        modulus=xn_minus_one(gf8), known=Poly(gf8), stop_degree=3))
+    assert solution.locator == Poly(gf8, [1])
     assert solution.combination.is_zero
     assert solution.iterations == 0
 
@@ -63,9 +65,9 @@ def test_zero_known_is_trivial(gf8):
 def test_low_degree_known_needs_no_iterations(gf8):
     known = Poly(gf8, [5, 1])
     solution = solve_key_equation(KeyEquationProblem(
-        modulus=xn_minus_one(gf8, 7), known=known, stop_degree=5))
+        modulus=xn_minus_one(gf8), known=known, stop_degree=5))
     assert solution.iterations == 0
-    assert solution.locator == Poly.one(gf8)
+    assert solution.locator == Poly(gf8, [1])
     assert solution.combination == known
 
 
@@ -76,7 +78,7 @@ def test_worked_single_error(gf8):
     symbols[2] = 0
     known = interpolate_all(gf8, symbols)
     solution = solve_key_equation(KeyEquationProblem(
-        modulus=xn_minus_one(gf8, 7), known=known, stop_degree=5))
+        modulus=xn_minus_one(gf8), known=known, stop_degree=5))
     # locator x + 4 has the single root alpha^2
     assert solution.locator == Poly(gf8, [4, 1])
     assert solution.iterations == 1
@@ -197,8 +199,8 @@ def test_only_m_from_9_scales_through_multiply_rows_and_inv(m, monkeypatch):
             return kernel(*args)
         return wrapped
 
-    monkeypatch.setattr(key_equation, "multiply_rows", forbid_below_9(
-        "multiply_rows", key_equation.multiply_rows))
+    monkeypatch.setattr(polynomial, "multiply_rows", forbid_below_9(
+        "multiply_rows", polynomial.multiply_rows))
     monkeypatch.setattr(Field, "inv", forbid_below_9("inv", Field.inv))
     solution = solve_key_equation(KeyEquationProblem(
         Poly(field, modulus), Poly(field, known), 1))
@@ -207,3 +209,29 @@ def test_only_m_from_9_scales_through_multiply_rows_and_inv(m, monkeypatch):
     # from m = 9 on: one cofactor product per division, then the scaling
     assert calls == ([] if m <= BYTE_MAX_M else
                      ["multiply_rows"] * 3 + ["inv"] + ["multiply_rows"] * 2)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8])
+def test_truong_solves_suggesteds_problem_times_the_locator(m):
+    # x^n - 1 = L Q gives R L mod (x^n - 1) = L (R mod Q), and truong's
+    # stop degree is suggested's plus l: floor((n + k + l + 1) / 2) - l =
+    # floor((n - l + k + 1) / 2).  L is monic, so the two Euclid runs make
+    # the same quotients: equal locators and iterations, and each of
+    # truong's remainders, the combination included, is L times suggested's
+    field = Field(m)
+    n = field.n
+    rng = random.Random(f"truong-suggested/{m}")
+    for _ in range(200):
+        params = CodeParams(field, rng.randrange(1, n))
+        k, l = params.k, rng.randrange(params.d)
+        locator = erasure_locator(params, rng.sample(range(n), l))
+        received = Poly(field, [rng.randrange(field.order) for _ in range(n)])
+        known, modulus, _ = codec._locator_product(received, locator)
+        truong = solve_key_equation(KeyEquationProblem(
+            modulus, known, (n + k + l + 1) // 2))
+        known, modulus, _ = codec._reduced_modulus(received, locator)
+        suggested = solve_key_equation(KeyEquationProblem(
+            modulus, known, (n - l + k + 1) // 2))
+        assert truong.iterations == suggested.iterations
+        assert truong.locator == suggested.locator
+        assert truong.combination == locator * suggested.combination

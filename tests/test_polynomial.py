@@ -22,7 +22,7 @@ def test_normalization(gf8):
 
 
 def test_zero_degree_is_sentinel(gf8):
-    zero = Poly.zero(gf8)
+    zero = Poly(gf8)
     assert zero.degree == MINUS_INF
     assert zero.degree < 0
     assert zero.is_zero
@@ -72,7 +72,7 @@ def test_add_is_self_inverse(gf8):
         assert a + b == b + a
         assert (a + b) + b == a
         assert (a - b) == (a + b)
-    assert Poly(gf8, [1, 2]) + Poly(gf8, [1, 2]) == Poly.zero(gf8)
+    assert Poly(gf8, [1, 2]) + Poly(gf8, [1, 2]) == Poly(gf8)
 
 
 @pytest.mark.parametrize("m", [3, 4, 8])
@@ -119,7 +119,7 @@ def test_divmod_against_reference(gf16):
 
 def test_division_by_zero_raises(gf8):
     with pytest.raises(ValueError, match="division by zero"):
-        divmod(Poly(gf8, [1, 1]), Poly.zero(gf8))
+        divmod(Poly(gf8, [1, 1]), Poly(gf8))
 
 
 def test_ring_axioms_sampled(gf16):
@@ -131,8 +131,8 @@ def test_ring_axioms_sampled(gf16):
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a * Poly.one(gf16) == a
-        assert a * Poly.zero(gf16) == Poly.zero(gf16)
+        assert a * Poly(gf16, [1]) == a
+        assert a * Poly(gf16) == Poly(gf16)
 
 
 def test_evaluate_matches_reference_and_is_homomorphic(gf8):
@@ -145,15 +145,15 @@ def test_evaluate_matches_reference_and_is_homomorphic(gf8):
                                            list(a.coeffs), at)
         assert (a * b).evaluate(at) == gf8.mul(a.evaluate(at), b.evaluate(at))
         assert (a + b).evaluate(at) == a.evaluate(at) ^ b.evaluate(at)
-    assert Poly.zero(gf8).evaluate(5) == 0
+    assert Poly(gf8).evaluate(5) == 0
     assert Poly(gf8, [0, 1]).evaluate(6) == 6
 
 
 def test_scale(gf8):
     p = Poly(gf8, [1, 2, 3])
-    assert p.scale(1) == p
-    assert p.scale(0).is_zero
-    doubled = p.scale(2)
+    assert p * Poly(gf8, [1]) == p
+    assert (p * Poly(gf8, [0])).is_zero
+    doubled = p * Poly(gf8, [2])
     assert doubled == Poly(gf8, [gf8.mul(2, c) for c in p.coeffs])
 
 
@@ -166,27 +166,18 @@ def test_scale_and_evaluate_check_their_argument(field, bad):
     value = field.order if bad == "order" else bad
     p = Poly(field, [1, 2, 3])
     with pytest.raises(ValueError):
-        p.scale(value)
+        p * Poly(field, [value])
     with pytest.raises(ValueError):
         p.evaluate(value)
 
 
 def test_xn_minus_one(gf8):
-    p = xn_minus_one(gf8, 7)
+    p = xn_minus_one(gf8)
     assert p.degree == 7
     assert p.coeffs[0] == 1 and p.coeffs[7] == 1
     assert all(c == 0 for c in p.coeffs[1:7])
     for i in range(7):
         assert p.evaluate(gf8.alpha_pow(i)) == 0
-    with pytest.raises(ValueError):
-        xn_minus_one(gf8, 0)
-
-
-@pytest.mark.parametrize("n", [1.0, True, 7.0])
-def test_xn_minus_one_refuses_non_int_n(gf8, n):
-    # True would otherwise give x + 1 and 7.0 a TypeError deep inside
-    with pytest.raises(ValueError, match="positive int"):
-        xn_minus_one(gf8, n)
 
 
 def test_equality_across_equal_contexts():
@@ -197,5 +188,5 @@ def test_equality_across_equal_contexts():
 
 def test_text_forms(gf8):
     assert str(Poly(gf8, [1, 0, 3])) == "1 0 3"
-    assert str(Poly.zero(gf8)) == "0"
+    assert str(Poly(gf8)) == "0"
     assert "Poly" in repr(Poly(gf8, [1]))

@@ -209,7 +209,8 @@ def test_counting_field_element_operations_are_uncounted(gf8):
     assert counted.alpha_pow(3) == 3
     assert counted.log(4) == 2
     assert counted.check_element(7) == 7
-    assert counted.antilog_table == gf8.antilog_table
+    assert ([counted.alpha_pow(j) for j in range(7)]
+            == [gf8.alpha_pow(j) for j in range(7)])
     assert counter.mults == counter.invs == {}
 
 
@@ -252,7 +253,8 @@ def test_counted_kernels_count_exactly(gf8):
         steps = dn - dd + 1
         assert counts(divmod, num, not_monic)[:2] == (steps * (dd + 1), 1)
         assert counts(divmod, num, monic)[:2] == (steps * dd, 0)
-        assert counts(lambda p: p.scale(0), num)[:2] == (dn + 1, 0)
+        assert counts(lambda p: p * Poly(p.field, [3]), num)[:2] == (
+            dn + 1, 0)
 
     def one_step(modulus, known):
         return solve_key_equation(KeyEquationProblem(modulus, known, 1))
