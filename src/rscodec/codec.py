@@ -56,12 +56,11 @@ cause.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 from enum import Enum
 
 from .galois import Field
-from .polynomial import (KeyEquationProblem, Poly, root_product, solve,
-                         xn_minus_one)
+from .polynomial import (KeyEquationProblem, Poly, Record, root_product,
+                         solve, xn_minus_one)
 from .spectral import (check_positions, cyclotomic_quotient, evaluate_all,
                        interpolate_all, interpolate_subset)
 
@@ -71,12 +70,15 @@ class FailureCause(Enum):
     DEGREE_OVERFLOW = "degree_overflow"
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(Record):
     """Either a recovered message or a failure cause, never both."""
 
-    message: tuple[int, ...] | None
-    cause: FailureCause | None
+    __slots__ = ("message", "cause")
+
+    def __init__(self, message: tuple[int, ...] | None,
+                 cause: FailureCause | None):
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "cause", cause)
 
     @classmethod
     def of_message(cls, message: tuple[int, ...]) -> DecodeResult:
@@ -91,17 +93,17 @@ class DecodeResult:
         return self.message is not None
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(Record):
     """An RS(n, k) code; n is fixed at 2^m - 1 by the field."""
 
-    field: Field
-    k: int
+    __slots__ = ("field", "k")
 
-    def __post_init__(self) -> None:
-        if type(self.k) is not int or not 1 <= self.k < self.field.n:
+    def __init__(self, field: Field, k: int):
+        if type(k) is not int or not 1 <= k < field.n:
             raise ValueError(
-                f"k must be an int in [1, {self.field.n}), got {self.k!r}")
+                f"k must be an int in [1, {field.n}), got {k!r}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -113,21 +115,19 @@ class CodeParams:
         return self.field.n - self.k + 1
 
 
-@dataclass(frozen=True)
-class ReceivedWord:
+class ReceivedWord(Record):
     """A hard-decision word with declared erasure positions.
 
     Erased positions are forced to the zero filler so that the
     full-vector decoders see one agreed value there.
     """
 
-    symbols: tuple[int, ...]
-    erasures: tuple[int, ...] = ()
+    __slots__ = ("symbols", "erasures")
 
-    def __post_init__(self) -> None:
-        positions = tuple(sorted(check_positions(self.erasures,
-                                                 len(self.symbols))))
-        filled = list(self.symbols)
+    def __init__(self, symbols: tuple[int, ...],
+                 erasures: tuple[int, ...] = ()):
+        positions = tuple(sorted(check_positions(erasures, len(symbols))))
+        filled = list(symbols)
         for pos in positions:
             filled[pos] = 0
         object.__setattr__(self, "symbols", tuple(filled))

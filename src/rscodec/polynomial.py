@@ -54,7 +54,6 @@ loops, counting their own products.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -471,38 +470,81 @@ def root_product(field: Field, exponents: Iterable[int]) -> Poly:
     return Poly._make(field, row)
 
 
-@dataclass(frozen=True)
-class KeyEquationProblem:
+class Record:
+    """Base of the codec's immutable records.
+
+    A subclass names its fields in __slots__, in constructor order, and its
+    __init__ stores each one with object.__setattr__.  From __slots__ this
+    class derives what a frozen dataclass would give: == between records
+    of one class, a hash of the field values, the Name(field=value, ...)
+    repr, copies, and AttributeError on assigning or deleting a field.
+    Frozen dataclasses would make every process that imports the package,
+    a CLI run included, import dataclasses and inspect too.  codec's
+    records share this base, as codec imports this module.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class KeyEquationProblem(Record):
     """One instance of the key equation to solve.
 
     stop_degree is exclusive: iteration ends at the first remainder with
     degree(remainder) < stop_degree.
     """
 
-    modulus: Poly
-    known: Poly
-    stop_degree: int
+    __slots__ = ("modulus", "known", "stop_degree")
 
-    def __post_init__(self) -> None:
-        self.known._compat(self.modulus)
-        if self.known.degree >= self.modulus.degree:
+    def __init__(self, modulus: Poly, known: Poly, stop_degree: int):
+        known._compat(modulus)
+        if known.degree >= modulus.degree:
             raise ValueError(
-                f"known degree {self.known.degree} must be below "
-                f"modulus degree {self.modulus.degree}")
-        if (type(self.stop_degree) is not int
-                or not 0 < self.stop_degree <= self.modulus.degree):
+                f"known degree {known.degree} must be below "
+                f"modulus degree {modulus.degree}")
+        if (type(stop_degree) is not int
+                or not 0 < stop_degree <= modulus.degree):
             raise ValueError(
-                f"stop_degree must be an int in (0, {self.modulus.degree}], "
-                f"got {self.stop_degree!r}")
+                f"stop_degree must be an int in (0, {modulus.degree}], "
+                f"got {stop_degree!r}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "known", known)
+        object.__setattr__(self, "stop_degree", stop_degree)
 
 
-@dataclass(frozen=True)
-class KeyEquationSolution:
+class KeyEquationSolution(Record):
     """Monic locator, matching combination, and the iteration count."""
 
-    locator: Poly
-    combination: Poly
-    iterations: int
+    __slots__ = ("locator", "combination", "iterations")
+
+    def __init__(self, locator: Poly, combination: Poly, iterations: int):
+        object.__setattr__(self, "locator", locator)
+        object.__setattr__(self, "combination", combination)
+        object.__setattr__(self, "iterations", iterations)
 
 
 def solve(problem: KeyEquationProblem) -> KeyEquationSolution:

@@ -210,9 +210,11 @@ def _byte_plan(field: Field) -> _BytePlan:
                    for b in range(b_len) for a in range(a_len))
     out = itemgetter(*[c_len * (a_len * (i % b_len) + i % a_len) + i % c_len
                        for i in range(n)])
-    # the logs i*j mod n mapped to alpha^(i*j)
-    power_rows = tuple(bytes([i * j % n for i in range(n)]).translate(shift[0])
-                       for j in range(n))
+    # row j > 0 reads the logs i*j mod n, every j-th byte of a repeated
+    # ramp 0, 1, ..., n - 1, and maps them to alpha^(i*j)
+    ramp = bytes(range(n)) * n
+    power_rows = (b"\x01" * n, *(ramp[:n * j:j].translate(shift[0])
+                                 for j in range(1, n)))
     return _BytePlan(columns, _packed_rows(field, c_len, n // c_len), scales,
                      blocks, out, power_rows)
 

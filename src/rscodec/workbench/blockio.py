@@ -116,23 +116,38 @@ def _rows(handle: TextIO, width: int, field: Field, first: int,
         if len(tokens) != width:
             raise BlockFormatError(
                 f"line {lineno}: expected {width} symbols, got {len(tokens)}")
-        symbols = []
-        erasures = []
-        for pos, token in enumerate(tokens):
-            if token == mark:
-                symbols.append(0)
-                erasures.append(pos)
-                continue
-            try:
-                symbols.append(_decimal(token))
-            except ValueError:
-                raise BlockFormatError(
-                    f"line {lineno}: bad symbol {token!r}") from None
+        erasures = ([pos for pos, token in enumerate(tokens) if token == mark]
+                    if mark in tokens else [])
+        for pos in erasures:
+            tokens[pos] = "0"
+        symbols = _decimals(tokens, lineno)
         try:
             field.check_elements(symbols)
         except ValueError as exc:
             raise BlockFormatError(f"line {lineno}: {exc}") from None
         yield tuple(symbols), tuple(erasures)
+
+
+def _decimals(tokens: list[str], lineno: int) -> list[int]:
+    """Values of one line's tokens, each an ASCII [0-9]+ token.
+
+    Each token is nonempty, so one test over the joined tokens checks them
+    all.  The tokens are scanned one by one only to name the first that
+    _decimal rejects, either for its characters or, past int's limit on
+    digits, for its length.
+    """
+    digits = "".join(tokens)
+    if digits.isascii() and digits.isdigit():
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    for token in tokens:
+        try:
+            _decimal(token)
+        except ValueError:
+            break
+    raise BlockFormatError(f"line {lineno}: bad symbol {token!r}")
 
 
 def read_blocks(handle: TextIO) -> tuple[CodeParams, list[ReceivedWord]]:

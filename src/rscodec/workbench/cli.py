@@ -6,21 +6,20 @@ block file's header alone.  decode's --algorithm takes
 a name from rscodec.DECODERS, or errors-only, which is suggested on
 blocks that carry no erasures and refuses blocks that do.  Exit status 0
 on success, 1 when decoding fails or bench sees suggested cost more than
-truong, 2 on usage or input-format errors.
+truong, 2 on usage or input-format errors.  Each subcommand imports only
+the modules it runs, so encode and decode load neither the channel nor
+the counted benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import random
 import sys
 
 from ..codec import DECODERS, CodeParams, decode_suggested, encode
 from ..galois import Field
 from . import blockio
-from .bench import bench, format_report, write_csv
-from .channel import ChannelSpec, corrupt
 
 USAGE_ERROR = 2
 DECODE_ERROR = 1
@@ -99,6 +98,10 @@ def _parse_positions(text: str, t: int, l: int) -> tuple[tuple, tuple]:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
+    import random
+
+    from .channel import ChannelSpec, corrupt
+
     with _open_in(args.infile) as src:
         params, blocks = blockio.read_blocks(src)
     error_positions = erasure_positions = None
@@ -144,6 +147,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import bench, format_report, write_csv
+
     params = _params_from_args(args)
     try:
         report = bench(params, args.trials, l=args.l, t=args.t,

@@ -187,3 +187,11 @@ def test_n255_row_sum_matches_counted(count):
             ref[i] ^= reference.mul(value, GF256.alpha_pow(i * j))
     assert list(fast) == ref
     assert all(type(v) is int for v in fast)
+
+
+def test_n255_power_rows():
+    # _row_sum's table: byte i of row j is alpha^(i*j), so row 0 is all ones
+    rows = spectral._byte_plan(GF256).power_rows
+    assert len(rows) == 255
+    for j, row in enumerate(rows):
+        assert row == bytes(GF256.alpha_pow(i * j % 255) for i in range(255))

@@ -1,11 +1,16 @@
-"""End-to-end runs of the command-line workbench, in process."""
+"""End-to-end runs of the command-line workbench, in process, and what a
+fresh CLI process imports."""
 
 import io
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rscodec
 from rscodec import CodeParams, Field
 from rscodec.workbench import bench
 from rscodec.workbench.cli import main
@@ -226,10 +231,14 @@ def test_custom_field_flags(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("token", ["+5", "0_3", "\u0663", "\uff13"])
+@pytest.mark.parametrize("token", [
+    "+5", "0_3", "\u0663", "\uff13", "\u00b2", "1?", "??", "?0",
+    pytest.param("9" * 5000, id="5000-digits")])
 def test_non_ascii_decimal_tokens_are_rejected(tmp_path, token, capsys):
-    # int() reads each as a valid small number (the last two are the
-    # Arabic-Indic and fullwidth digit three); the format allows [0-9]+ only
+    # int() reads the first four as a valid small number (the third and
+    # fourth are the Arabic-Indic and fullwidth digit three); superscript
+    # two passes str.isdigit(), the erasure mark is no digit inside a
+    # token, and int() refuses 5,000 digits; the format allows [0-9]+ only
     block = write_lines(tmp_path / "block.txt",
                         f"rs 7 3 3 0xb\n{token} 0 0 0 0 0 0\n")
     assert main(["decode", "--in", block]) == 2
@@ -290,7 +299,8 @@ CLEAN_BLOCK = "rs 7 3 3 0xb\n0 2 3 3 0 1 2\n"  # the message 1 2 3
 @pytest.mark.parametrize("text", [
     CLEAN_BLOCK.replace("\n", "\r\n"),
     CLEAN_BLOCK.rstrip("\n"),
-], ids=["crlf", "no-final-newline"])
+    CLEAN_BLOCK.replace("0 2 3", "000 002 3"),
+], ids=["crlf", "no-final-newline", "leading-zeros"])
 def test_line_ending_variants_decode(tmp_path, text, capsys):
     path = tmp_path / "blocks.txt"
     path.write_bytes(text.encode())
@@ -310,9 +320,19 @@ def test_line_ending_variants_decode(tmp_path, text, capsys):
     (CLEAN_BLOCK + "\x1c\n" + CLEAN_BLOCK[13:], "line 3: expected 7 symbols"),
     (CLEAN_BLOCK + "\x0c \t\n", "line 3: expected 7 symbols, got 1"),
     (CLEAN_BLOCK.replace("\n", "\r", 1), "expected header"),
+    # one test over a line's joined tokens must still name the bad token
+    ("rs 7 3 3 0xb\n0 2 3 3 0 1? 2\n", "line 2: bad symbol '1?'"),
+    ("rs 7 3 3 0xb\n0 2 ? 3 ?? 1 2\n", "line 2: bad symbol '??'"),
+    ("rs 7 3 3 0xb\n?0 2 3 3 0 1 2\n", "line 2: bad symbol '?0'"),
+    ("rs 7 3 3 0xb\n0 2 3 3 0 1 \u00b2\n", "line 2: bad symbol '\u00b2'"),
+    (f"rs 7 3 3 0xb\n0 2 {'9' * 5000} 3 0 1 2\n",
+     f"line 2: bad symbol '{'9' * 5000}'"),
+    ("rs 7 3 3 0xb\n0 2 3 3 0 1 8\n",
+     "line 2: field element 8 is outside GF(2^3)"),
 ], ids=["blank-header", "huge-header", "huge-k", "truncated-last-line",
         "nbsp-header", "nbsp-symbols", "vt-symbols", "fs-line", "ff-line",
-        "cr-line"])
+        "cr-line", "mark-suffix", "double-mark", "mark-prefix",
+        "superscript", "5000-digits", "outside-field"])
 def test_malformed_block_file_is_rejected(tmp_path, text, message, capsys):
     path = write_lines(tmp_path / "blocks.txt", text)
     assert main(["decode", "--in", path]) == 2
@@ -335,3 +355,57 @@ def test_erasure_mark_in_a_message_file_is_rejected(tmp_path, capsys):
     message = write_lines(tmp_path / "message.txt", "1 2 3\n1 ? 3\n")
     assert main(["encode", "--m", "3", "--k", "3", "--in", message]) == 2
     assert "line 2: bad symbol '?'" in capsys.readouterr().err
+
+
+# --------------------------------------------------------- process start-up
+
+def fresh_python(source: str) -> str:
+    """stdout of source run in a fresh interpreter that imports this
+    checkout's package."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rscodec.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", source], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LOADED = "import sys; print(*sorted(sys.modules))"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
+    # what an encode or decode process pays for before it reads a line
+    bare = set(fresh_python(LOADED).split())
+    cli = set(fresh_python(f"import rscodec.workbench.cli; {LOADED}").split())
+    assert "rscodec.workbench.cli" in cli
+    assert {"dataclasses", "inspect", "numpy"} & (cli - bare) == set()
+
+
+# each exported name, the module that defines it, and whether it is that
+# module's own object; a submodule bound in its place has no __module__
+EXPORTS = """
+import importlib, rscodec.workbench as wb
+for name in wb.__all__:
+    value = getattr(wb, name)
+    home = getattr(value, "__module__", None)
+    owned = home is not None and getattr(importlib.import_module(home),
+                                         name, None) is value
+    print(name, home, owned)
+"""
+
+
+@pytest.mark.parametrize("first", [
+    "from rscodec.workbench import (ChannelSpec, CountingField, OpCounter, "
+    "bench, corrupt)",
+    "import rscodec.workbench.bench",
+    "from rscodec.workbench.cli import main; "
+    "main(['bench', '--m', '3', '--k', '3', '--trials', '1'])",
+], ids=["perfbench-import", "bench-submodule-first", "cli-bench"])
+def test_workbench_exports_survive_each_import_order(first):
+    # the exports load their submodules lazily, and the bench submodule
+    # shares its name with the bench function
+    expected = fresh_python(EXPORTS).splitlines()
+    lines = fresh_python(f"{first}\n{EXPORTS}").splitlines()
+    assert lines[-len(expected):] == expected
+    assert "bench rscodec.workbench.bench True" in expected
+    assert all(line.endswith(" True") for line in expected)

@@ -1,5 +1,6 @@
 """Encoder and the four decoding pipelines."""
 
+import copy
 import functools
 import itertools
 import operator
@@ -11,8 +12,11 @@ import pytest
 
 from rscodec import (
     CodeParams,
+    DecodeResult,
     FailureCause,
     Field,
+    KeyEquationProblem,
+    KeyEquationSolution,
     Poly,
     ReceivedWord,
     decode_errors_only,
@@ -22,6 +26,7 @@ from rscodec import (
     encode,
     erasure_locator,
     evaluate_all,
+    xn_minus_one,
 )
 from rscodec.workbench import CountingField, OpCounter
 
@@ -107,6 +112,60 @@ def test_received_word_normalization():
         ReceivedWord((1, 2, 3), (0, 0))
     with pytest.raises(ValueError, match="outside"):
         ReceivedWord((1, 2, 3), (3,))
+
+
+GF8 = Field(3)
+
+# each record's fields in constructor order, values that it stores as
+# given, and arguments it must refuse with that message; a Poly field
+# makes the record unhashable, as Poly is
+RECORDS = {
+    "DecodeResult": (DecodeResult, ("message", "cause"),
+                     ((1, 2, 3), None), None),
+    "DecodeResult-failure": (DecodeResult, ("message", "cause"),
+                             (None, FailureCause.DEGREE_OVERFLOW), None),
+    "CodeParams": (CodeParams, ("field", "k"), (GF8, 3),
+                   ((GF8, 7), "k must be an int in [1, 7), got 7")),
+    "ReceivedWord": (ReceivedWord, ("symbols", "erasures"),
+                     ((1, 0, 3, 0, 5, 6, 7), (1, 3)),
+                     (((1, 2, 3), (3,)), "position 3 is outside [0, 3)")),
+    "KeyEquationProblem": (
+        KeyEquationProblem, ("modulus", "known", "stop_degree"),
+        (xn_minus_one(GF8), Poly(GF8, [1, 2]), 4),
+        ((xn_minus_one(GF8), Poly(GF8, [1, 2]), 8),
+         "stop_degree must be an int in (0, 7], got 8")),
+    "KeyEquationSolution": (
+        KeyEquationSolution, ("locator", "combination", "iterations"),
+        (Poly(GF8, [3, 1]), Poly(GF8, [5]), 1), None),
+}
+
+
+@pytest.mark.parametrize("case", RECORDS.values(), ids=RECORDS)
+def test_records_behave_as_frozen_dataclasses(case):
+    cls, names, values, refused = case
+    record = cls(*values)
+    assert record == cls(**dict(zip(names, values)))
+    assert tuple(getattr(record, name) for name in names) == values
+    assert record != values and not record == values
+    assert copy.copy(record) == record
+    if any(isinstance(value, Poly) for value in values):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(*values))
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__name__}({fields})"
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in names) == values
+    if refused is not None:
+        args, message = refused
+        with pytest.raises(ValueError) as exc:
+            cls(*args)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bad", ["0", None, 1.0, True], ids=repr)
