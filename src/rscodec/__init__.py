@@ -3,17 +3,17 @@
 Encoding is nonsystematic: codeword symbol i is the message polynomial
 evaluated at alpha^i.  Three erasure-capable decoding pipelines plus a
 plain errors-only decoder all reduce to one partial extended Euclidean
-solve, polynomial.solve (exported as solve_key_equation), and recover the
-message whenever 2t + l < d.  The workbench
-subpackage adds channel simulation, operation counting, and a CLI.
+solve, polynomial.solve, exported as solve_key_equation(modulus, known,
+stop_degree) -> (locator, combination, iterations), and recover the
+message whenever 2t + l < d.  The workbench subpackage adds channel
+simulation, operation counting, and a CLI.
 """
 
 from .codec import (DECODERS, CodeParams, DecodeResult, FailureCause,
                     ReceivedWord, decode_errors_only, decode_gao,
                     decode_suggested, decode_truong, encode, erasure_locator)
 from .galois import DEFAULT_PRIMITIVE_POLYS, Field
-from .polynomial import (MINUS_INF, KeyEquationProblem, KeyEquationSolution,
-                         Poly, xn_minus_one)
+from .polynomial import MINUS_INF, Poly, xn_minus_one
 from .polynomial import solve as solve_key_equation
 from .spectral import (cyclotomic_quotient, evaluate_all, interpolate_all,
                        interpolate_subset)
@@ -27,8 +27,6 @@ __all__ = [
     "DecodeResult",
     "FailureCause",
     "Field",
-    "KeyEquationProblem",
-    "KeyEquationSolution",
     "MINUS_INF",
     "Poly",
     "ReceivedWord",

@@ -9,11 +9,12 @@ errors and l erasures.  Each is a thin entry over one pipeline, _decode,
 whose steps carry the labels a counter= argument sees: 0 builds the
 erasure locator L (1 when nothing is erased); 1 interpolates; 2a prepares
 the modulus, the known polynomial reduced below it and an optional
-divisor factor; 2b finds W and P with W * known = P (mod modulus) by one
-partial extended Euclidean solve, polynomial.solve; 3 divides P by W,
-times the factor if any.  The solve's stop degree already bounds deg W
-by (d - 1 - l) / 2, so step 3 needs no separate radius check.  Steps 1 and 2a are each
-algorithm's own:
+divisor factor; 2b is one call solve(modulus, known, stop), polynomial's
+partial extended Euclidean solve, which checks its arguments and returns
+W and P with W * known = P (mod modulus) and the iteration count; 3
+divides P by W, times the factor if any.  The solve's stop
+degree already bounds deg W by (d - 1 - l) / 2, so step 3 needs no
+separate radius check.  Steps 1 and 2a are each algorithm's own:
 
   decode_gao           interpolate_subset: the n - l non-erased positions
                        only, from the word and its erasures; modulus
@@ -50,7 +51,8 @@ returns early leaves nothing behind for the next decode.
 
 Decode failures are values, not exceptions: out-of-range inputs raise
 ValueError, but an undecodable word returns DecodeResult.failure with a
-cause.
+cause.  DecodeResult, CodeParams and ReceivedWord are immutable records
+on one slotted base, Record.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ from contextlib import nullcontext
 from enum import Enum
 
 from .galois import Field
-from .polynomial import (KeyEquationProblem, Poly, Record, root_product,
-                         solve, xn_minus_one)
+from .polynomial import Poly, root_product, solve, xn_minus_one
 from .spectral import (check_positions, cyclotomic_quotient, evaluate_all,
                        interpolate_all, interpolate_subset)
 
@@ -68,6 +69,46 @@ from .spectral import (check_positions, cyclotomic_quotient, evaluate_all,
 class FailureCause(Enum):
     DIVISION_INEXACT = "division_inexact"
     DEGREE_OVERFLOW = "degree_overflow"
+
+
+class Record:
+    """Base of the codec's immutable records.
+
+    A subclass names its fields in __slots__, in constructor order, and its
+    __init__ stores each one with object.__setattr__.  From __slots__ this
+    class derives what a frozen dataclass would give: == between records
+    of one class, a hash of the field values, the Name(field=value, ...)
+    repr, copies, and AttributeError on assigning or deleting a field.
+    Frozen dataclasses would make every process that imports the package,
+    a CLI run included, import dataclasses and inspect too.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class DecodeResult(Record):
@@ -167,8 +208,8 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
 
     interpolate(field, symbols, erasures) is step 1.  prepare(received,
     locator) is step 2a and returns (known, modulus, factor), where known
-    is already below the modulus in degree, as KeyEquationProblem checks,
-    and factor is None or a polynomial that step 3 divides out besides W.
+    is already below the modulus in degree, as solve checks, and factor
+    is None or a polynomial that step 3 divides out besides W.
     ReceivedWord checks and sorts the erasures.  Step 1 range-checks every
     symbol, erased ones included, so only the early return, which skips
     step 1, checks them here; interpolate_subset, being public, checks the
@@ -189,15 +230,13 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
         known, modulus, factor = prepare(received, locator)
     with _phase(counter, "2b"):
         factor_degree = 0 if factor is None else factor.degree
-        solution = solve(KeyEquationProblem(
-            modulus=modulus, known=known,
-            stop_degree=(modulus.degree + params.k + factor_degree + 1) // 2))
+        stop = (modulus.degree + params.k + factor_degree + 1) // 2
+        error_locator, combination, iterations = solve(modulus, known, stop)
         if counter is not None:
-            counter.add_iterations(solution.iterations)
+            counter.add_iterations(iterations)
     with _phase(counter, "3"):
-        error_locator = solution.locator
         divisor = error_locator if factor is None else error_locator * factor
-        msg_poly, rem = divmod(solution.combination, divisor)
+        msg_poly, rem = divmod(combination, divisor)
         if not rem.is_zero:
             return DecodeResult.failure(FailureCause.DIVISION_INEXACT)
         if msg_poly.degree >= params.k:

@@ -27,10 +27,11 @@ bit-identical results, as plain ints.
 Every decoder reduces to one key equation: given a modulus and a known
 polynomial below it, find the monic locator W of lowest degree and the
 combination P with W * known = P (mod modulus) and deg P below a stop
-degree.  solve runs the extended Euclidean algorithm on (modulus, known)
-and stops at the first remainder below the stop degree: that remainder
-is P and its cofactor against known is W, both scaled by one factor so
-that W is monic.  Only the remainders and the known-side cofactors are
+degree.  solve(modulus, known, stop_degree) checks its arguments and
+returns (W, P, iterations).  It runs the extended Euclidean algorithm on
+(modulus, known) and stops at the first remainder below the stop degree:
+that remainder is P and its cofactor against known is W, both scaled by
+one factor so that W is monic.  Only the remainders and the known-side cofactors are
 tracked, which is all the congruence needs.  Up to BYTE_MAX_M the whole
 solve, the scaling included, is one euclid_bytes pass over packed ints.
 From m = 9 on solve runs the recurrence itself: one divide_rows and one
@@ -470,102 +471,38 @@ def root_product(field: Field, exponents: Iterable[int]) -> Poly:
     return Poly._make(field, row)
 
 
-class Record:
-    """Base of the codec's immutable records.
+def solve(modulus: Poly, known: Poly,
+          stop_degree: int) -> tuple[Poly, Poly, int]:
+    """Run the partial extended Euclidean algorithm on (modulus, known).
 
-    A subclass names its fields in __slots__, in constructor order, and its
-    __init__ stores each one with object.__setattr__.  From __slots__ this
-    class derives what a frozen dataclass would give: == between records
-    of one class, a hash of the field values, the Name(field=value, ...)
-    repr, copies, and AttributeError on assigning or deleting a field.
-    Frozen dataclasses would make every process that imports the package,
-    a CLI run included, import dataclasses and inspect too.  codec's
-    records share this base, as codec imports this module.
+    known must share modulus's field and lie below it in degree, and
+    stop_degree is an int in (0, deg modulus]; it is exclusive, so
+    iteration ends at the first remainder of degree below it.  Returns
+    (locator, combination, iterations), the pair scaled so the locator is
+    monic: locator * known = combination (mod modulus) with
+    degree(combination) < stop_degree.  A zero known polynomial yields
+    (1, 0) in zero iterations.  See the module docstring for how each m
+    runs and counts it.
     """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class KeyEquationProblem(Record):
-    """One instance of the key equation to solve.
-
-    stop_degree is exclusive: iteration ends at the first remainder with
-    degree(remainder) < stop_degree.
-    """
-
-    __slots__ = ("modulus", "known", "stop_degree")
-
-    def __init__(self, modulus: Poly, known: Poly, stop_degree: int):
-        known._compat(modulus)
-        if known.degree >= modulus.degree:
-            raise ValueError(
-                f"known degree {known.degree} must be below "
-                f"modulus degree {modulus.degree}")
-        if (type(stop_degree) is not int
-                or not 0 < stop_degree <= modulus.degree):
-            raise ValueError(
-                f"stop_degree must be an int in (0, {modulus.degree}], "
-                f"got {stop_degree!r}")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "known", known)
-        object.__setattr__(self, "stop_degree", stop_degree)
-
-
-class KeyEquationSolution(Record):
-    """Monic locator, matching combination, and the iteration count."""
-
-    __slots__ = ("locator", "combination", "iterations")
-
-    def __init__(self, locator: Poly, combination: Poly, iterations: int):
-        object.__setattr__(self, "locator", locator)
-        object.__setattr__(self, "combination", combination)
-        object.__setattr__(self, "iterations", iterations)
-
-
-def solve(problem: KeyEquationProblem) -> KeyEquationSolution:
-    """Run the partial extended Euclidean algorithm on one problem.
-
-    Returns the pair scaled so the locator is monic.  A zero known
-    polynomial yields (1, 0) in zero iterations.  The result satisfies
-    locator * known = combination (mod modulus) with
-    degree(combination) < stop_degree.  See the module docstring for how
-    each m runs and counts it.
-    """
-    field = problem.modulus.field
-    r_prev, r_cur = problem.modulus.coeffs, problem.known.coeffs
-    stop = problem.stop_degree
+    known._compat(modulus)
+    if known.degree >= modulus.degree:
+        raise ValueError(
+            f"known degree {known.degree} must be below "
+            f"modulus degree {modulus.degree}")
+    if (type(stop_degree) is not int
+            or not 0 < stop_degree <= modulus.degree):
+        raise ValueError(
+            f"stop_degree must be an int in (0, {modulus.degree}], "
+            f"got {stop_degree!r}")
+    field, r_prev, r_cur = modulus.field, modulus.coeffs, known.coeffs
 
     if field.m <= BYTE_MAX_M:  # the pass returns the pair already monic
-        r_cur, v_cur, iterations = euclid_bytes(field, r_prev, r_cur, stop)
+        r_cur, v_cur, iterations = euclid_bytes(field, r_prev, r_cur,
+                                                stop_degree)
     else:
         v_prev, v_cur = [], [1]
         iterations = 0
-        while len(r_cur) > stop:  # degree(r_cur) >= stop
+        while len(r_cur) > stop_degree:  # degree(r_cur) >= stop_degree
             quot, r_next = divide_rows(field, r_prev, r_cur)
             r_prev, r_cur = r_cur, r_next
             # v_prev + quot * v_cur; the product has the higher degree
@@ -578,6 +515,4 @@ def solve(problem: KeyEquationProblem) -> KeyEquationSolution:
                 field.counter.add(0, 1)
             v_cur = multiply_rows(field, factor, v_cur)
             r_cur = multiply_rows(field, factor, r_cur)
-    return KeyEquationSolution(locator=Poly._make(field, v_cur),
-                               combination=Poly._make(field, r_cur),
-                               iterations=iterations)
+    return Poly._make(field, v_cur), Poly._make(field, r_cur), iterations

@@ -2,25 +2,25 @@
 counting, benchmarks, and the CLI.
 
 The exported names load their submodule on first access (PEP 562), so
-the CLI's encode and decode never import bench, channel or counters.
+the CLI's encode and decode never import channel or counters.  No
+submodule shares a name with an export, so importing bench from this
+package gives the function whichever import ran first.
 """
 
 import importlib
-import sys
-from types import ModuleType
 
 # the submodule that defines each exported name
 _HOMES = {
     "ChannelSpec": "channel",
-    "ComplexityClaimError": "bench",
+    "ComplexityClaimError": "counters",
     "CountingField": "counters",
     "OpCounter": "counters",
-    "OpCountReport": "bench",
-    "StepCounts": "bench",
-    "bench": "bench",
+    "OpCountReport": "counters",
+    "StepCounts": "counters",
+    "bench": "counters",
     "corrupt": "channel",
-    "format_report": "bench",
-    "write_csv": "bench",
+    "format_report": "counters",
+    "write_csv": "counters",
 }
 
 __all__ = list(_HOMES)
@@ -33,20 +33,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
     globals()[name] = value
     return value
-
-
-class _Package(ModuleType):
-    """This package's module type.
-
-    Loading a submodule binds it to its package as an attribute, after
-    the submodule ran.  The bench submodule would then hide the bench
-    function under the same name, whichever import loaded it first.
-    """
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if name == "bench" and isinstance(value, ModuleType):
-            value = value.bench
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -50,6 +50,14 @@ class ChannelSpec:
                 raise ValueError(f"positions {sorted(overlap)} are both "
                                  f"errors and erasures")
 
+    def check(self, n: int) -> None:
+        """Refuse a spec that cannot apply to a codeword of n symbols:
+        t + l above n, or an explicit position outside [0, n)."""
+        if self.t + self.l > n:
+            raise ValueError(f"t + l = {self.t + self.l} exceeds n = {n}")
+        check_positions((*(self.erasure_positions or ()),
+                         *(self.error_positions or ())), n)
+
 
 def corrupt(params: CodeParams, codeword, spec: ChannelSpec) -> ReceivedWord:
     """Apply a ChannelSpec to a codeword.
@@ -62,8 +70,7 @@ def corrupt(params: CodeParams, codeword, spec: ChannelSpec) -> ReceivedWord:
     symbols = params.field.check_elements(codeword)
     if len(symbols) != n:
         raise ValueError(f"expected {n} symbols, got {len(symbols)}")
-    if spec.t + spec.l > n:
-        raise ValueError(f"t + l = {spec.t + spec.l} exceeds n = {n}")
+    spec.check(n)
     rng = random.Random(spec.seed)
 
     if spec.erasure_positions is not None:
@@ -76,7 +83,6 @@ def corrupt(params: CodeParams, codeword, spec: ChannelSpec) -> ReceivedWord:
     else:
         errors = rng.sample(sorted(set(range(n)) - set(erasures)), spec.t)
 
-    check_positions(erasures + errors, n)
     for pos in errors:
         symbols[pos] ^= rng.randrange(1, params.field.order)
     return ReceivedWord(symbols=tuple(symbols), erasures=tuple(erasures))

@@ -98,6 +98,7 @@ def _parse_positions(text: str, t: int, l: int) -> tuple[tuple, tuple]:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
+    import dataclasses
     import random
 
     from .channel import ChannelSpec, corrupt
@@ -108,6 +109,10 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
     if args.positions is not None:
         error_positions, erasure_positions = _parse_positions(
             args.positions, args.t, args.l)
+    # refuse what corrupt would refuse for any block before any output
+    base = ChannelSpec(t=args.t, l=args.l, error_positions=error_positions,
+                       erasure_positions=erasure_positions)
+    base.check(params.n)
     rng = random.Random(args.seed)
     with _open_out(args.outfile) as dst:
         blockio.write_header(dst, params)
@@ -115,9 +120,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
             if block.erasures:
                 raise UsageError("corrupt expects clean codeword blocks, "
                                  "found erasure marks")
-            spec = ChannelSpec(t=args.t, l=args.l, seed=rng.getrandbits(32),
-                               error_positions=error_positions,
-                               erasure_positions=erasure_positions)
+            spec = dataclasses.replace(base, seed=rng.getrandbits(32))
             received = corrupt(params, block.symbols, spec)
             blockio.write_block(dst, received.symbols, received.erasures)
     return 0
@@ -147,7 +150,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import bench, format_report, write_csv
+    from .counters import bench, format_report, write_csv
 
     params = _params_from_args(args)
     try:

@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import Reference
-from rscodec import (Field, KeyEquationProblem, Poly, evaluate_all,
-                     interpolate_all, solve_key_equation)
+from rscodec import (Field, Poly, evaluate_all, interpolate_all,
+                     solve_key_equation)
 from rscodec import spectral
 from rscodec.galois import MIN_M
 from rscodec.polynomial import BYTE_MAX_M, root_product
@@ -147,12 +147,11 @@ def solve_cases(draw):
 @example((3, [1, 0, 0, 0, 0, 0, 0, 1], [0, 0, 5], 1))
 def test_solve_matches_counted(case):
     m, modulus, known, stop = case
-    fast = solve_key_equation(KeyEquationProblem(
-        modulus=Poly(FIELDS[m], modulus), known=Poly(FIELDS[m], known),
-        stop_degree=stop))
-    assert ((fast.locator.coeffs, fast.combination.coeffs, fast.iterations)
+    locator, combination, iterations = solve_key_equation(
+        Poly(FIELDS[m], modulus), Poly(FIELDS[m], known), stop)
+    assert ((locator.coeffs, combination.coeffs, iterations)
             == Reference(FIELDS[m]).solve(modulus, known, stop))
-    assert plain_ints(fast.locator, fast.combination)
+    assert plain_ints(locator, combination)
 
 
 @pytest.mark.parametrize("length", [0, 1, 127, 223, 255])

@@ -115,6 +115,21 @@ def test_corrupt_refuses_dirty_input(tmp_path, capsys):
     assert "clean codeword blocks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocks", ["", "1 2 4 3 6 7 5\n"],
+                         ids=["header-only", "one-block"])
+@pytest.mark.parametrize("bad", [
+    ["--t", "-1"],
+    ["--t", "9", "--l", "3"],
+    ["--t", "1", "--positions", "9"],
+], ids=["negative-t", "t+l-above-n", "position-outside"])
+def test_corrupt_refuses_bad_arguments_before_any_output(tmp_path, capsys,
+                                                         blocks, bad):
+    path = write_lines(tmp_path / "blocks.txt", "rs 7 3 3 0xb\n" + blocks)
+    assert main(["corrupt", *bad, "--in", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_stdio_paths(tmp_path, message_file, monkeypatch, capsys):
     blocks = tmp_path / "blocks.txt"
     main(encode_args(message_file, str(blocks)))
@@ -397,15 +412,23 @@ for name in wb.__all__:
 @pytest.mark.parametrize("first", [
     "from rscodec.workbench import (ChannelSpec, CountingField, OpCounter, "
     "bench, corrupt)",
-    "import rscodec.workbench.bench",
+    "import rscodec.workbench.counters",
     "from rscodec.workbench.cli import main; "
     "main(['bench', '--m', '3', '--k', '3', '--trials', '1'])",
-], ids=["perfbench-import", "bench-submodule-first", "cli-bench"])
+], ids=["perfbench-import", "counters-submodule-first", "cli-bench"])
 def test_workbench_exports_survive_each_import_order(first):
-    # the exports load their submodules lazily, and the bench submodule
-    # shares its name with the bench function
+    # the exports load their submodules lazily, and loading a submodule
+    # binds it on the package under its own name
     expected = fresh_python(EXPORTS).splitlines()
     lines = fresh_python(f"{first}\n{EXPORTS}").splitlines()
     assert lines[-len(expected):] == expected
-    assert "bench rscodec.workbench.bench True" in expected
+    assert "bench rscodec.workbench.counters True" in expected
     assert all(line.endswith(" True") for line in expected)
+
+
+def test_every_exported_name_resolves():
+    # a star import fails on any name in __all__ that no longer exists
+    assert fresh_python("from rscodec import *\n"
+                        "from rscodec.workbench import *\n"
+                        "print(bench.__module__)") == (
+        "rscodec.workbench.counters\n")

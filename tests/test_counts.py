@@ -28,9 +28,8 @@ import random
 import pytest
 
 from reference import Reference, euclid_chain, strip
-from rscodec import (Field, KeyEquationProblem, Poly, cyclotomic_quotient,
-                     evaluate_all, interpolate_all, interpolate_subset,
-                     solve_key_equation)
+from rscodec import (Field, Poly, cyclotomic_quotient, evaluate_all,
+                     interpolate_all, interpolate_subset, solve_key_equation)
 from rscodec.polynomial import (BYTE_MAX_M, ROW_KERNEL_MIN_LEN,
                                 divide_rows, euclid_bytes, multiply_rows,
                                 root_product)
@@ -54,8 +53,8 @@ def row(rng, field, length, lead=None, zeros=0.3):
 
 
 def solution_of(solution):
-    return (solution.locator.coeffs, solution.combination.coeffs,
-            solution.iterations)
+    locator, combination, iterations = solution
+    return locator.coeffs, combination.coeffs, iterations
 
 
 def kernel_cases(m):
@@ -251,8 +250,7 @@ def solve_cases(m):
                          rng.randrange(1, size - 1)))
     for name, modulus, known, stop in problems:
         yield (f"solve-{name}", lambda f, a=modulus, b=known, s=stop:
-               solution_of(solve_key_equation(KeyEquationProblem(
-                   Poly(f, a), Poly(f, b), s))),
+               solution_of(solve_key_equation(Poly(f, a), Poly(f, b), s)),
                lambda r, a=modulus, b=known, s=stop: r.solve(a, b, s))
         if m <= BYTE_MAX_M:
             # the packed pass alone returns solve's monic pair and count

@@ -35,10 +35,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import Reference
-from rscodec import (DECODERS, CodeParams, Field, KeyEquationProblem, Poly,
-                     ReceivedWord, cyclotomic_quotient, erasure_locator,
-                     evaluate_all, encode, interpolate_all,
-                     interpolate_subset, solve_key_equation)
+from rscodec import (DECODERS, CodeParams, Field, Poly, ReceivedWord,
+                     cyclotomic_quotient, erasure_locator, evaluate_all,
+                     encode, interpolate_all, interpolate_subset,
+                     solve_key_equation)
 from rscodec import polynomial, spectral
 from rscodec.galois import MAX_M, MIN_M
 from rscodec.polynomial import BYTE_MAX_M, ROW_KERNEL_MIN_LEN, xn_minus_one
@@ -432,10 +432,9 @@ def key_equation_problems(draw):
 def test_solve_matches_scalar(case):
     m, modulus, known, stop = case
     field = FIELDS[m]
-    fast = solve_key_equation(KeyEquationProblem(
-        modulus=Poly(field, modulus), known=Poly(field, known),
-        stop_degree=stop))
-    assert ((fast.locator.coeffs, fast.combination.coeffs, fast.iterations)
+    locator, combination, iterations = solve_key_equation(
+        Poly(field, modulus), Poly(field, known), stop)
+    assert ((locator.coeffs, combination.coeffs, iterations)
             == ref(m).solve(modulus, known, stop))
 
 
@@ -601,11 +600,10 @@ def test_key_equation_stage_results_are_plain_ints():
     rng = random.Random(8)
     modulus = Poly(field, [1] + [0] * 254 + [1])
     known = Poly(field, [rng.randrange(256) for _ in range(200)])
-    solution = solve_key_equation(KeyEquationProblem(
-        modulus=modulus, known=known, stop_degree=150))
+    error_locator, combination, _ = solve_key_equation(modulus, known, 150)
     quot, rem = divmod(known, Poly(field, [5] * 64))
     locator = erasure_locator(CodeParams(field, 1), range(0, 255, 4))
-    for poly in (solution.locator, solution.combination, quot, rem, locator,
+    for poly in (error_locator, combination, quot, rem, locator,
                  cyclotomic_quotient(locator)):
         assert poly.coeffs and all(type(c) is int for c in poly.coeffs)
 

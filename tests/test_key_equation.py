@@ -12,7 +12,6 @@ from reference import Reference, euclid_chain
 from rscodec import (
     CodeParams,
     Field,
-    KeyEquationProblem,
     Poly,
     erasure_locator,
     evaluate_all,
@@ -29,46 +28,47 @@ def rand_problem(rng, field, max_modulus_degree):
     modulus = Poly(field, [rng.randrange(field.order) for _ in range(deg)] + [1])
     known = Poly(field, [rng.randrange(field.order) for _ in range(deg)])
     stop = rng.randrange(1, deg + 1)
-    return KeyEquationProblem(modulus=modulus, known=known, stop_degree=stop)
+    return modulus, known, stop
 
 
-def test_problem_validation(gf8, gf16):
-    modulus = xn_minus_one(gf8)
-    good = Poly(gf8, [1, 2, 3])
-    KeyEquationProblem(modulus=modulus, known=good, stop_degree=4)
-    with pytest.raises(ValueError, match="must be below"):
-        KeyEquationProblem(modulus=modulus, known=modulus, stop_degree=4)
-    with pytest.raises(ValueError, match="stop_degree"):
-        KeyEquationProblem(modulus=modulus, known=good, stop_degree=0)
-    with pytest.raises(ValueError, match="stop_degree"):
-        KeyEquationProblem(modulus=modulus, known=good, stop_degree=8)
-    with pytest.raises(ValueError, match="mixed field"):
-        KeyEquationProblem(modulus=modulus, known=Poly(gf16, [1, 2]),
-                           stop_degree=4)
+GF8, GF16 = Field(3), Field(4)
+X7_PLUS_1, GOOD = xn_minus_one(GF8), Poly(GF8, [1, 2, 3])
+STOP_RANGE = "stop_degree must be an int in (0, 7], got "
 
 
-@pytest.mark.parametrize("stop", [1.0, True, 2.5])
-def test_problem_refuses_non_int_stop_degree(gf8, stop):
-    with pytest.raises(ValueError, match="stop_degree must be an int"):
-        KeyEquationProblem(modulus=xn_minus_one(gf8),
-                           known=Poly(gf8, [1, 2, 3]), stop_degree=stop)
+@pytest.mark.parametrize("known, stop, message", [
+    (Poly(GF16, [1, 2]), 4,
+     "mixed field contexts: Field(m=4, prim_poly=0x13) vs "
+     "Field(m=3, prim_poly=0xB)"),
+    (X7_PLUS_1, 4, "known degree 7 must be below modulus degree 7"),
+    (GOOD, 0, STOP_RANGE + "0"),
+    (GOOD, 8, STOP_RANGE + "8"),  # deg modulus + 1
+    (GOOD, True, STOP_RANGE + "True"),
+    (GOOD, 2.0, STOP_RANGE + "2.0"),
+    (GOOD, 2.5, STOP_RANGE + "2.5"),
+    # the refusals come in this order: fields, then degree, then stop
+    (Poly(GF16, [1] * 9), 0,
+     "mixed field contexts: Field(m=4, prim_poly=0x13) vs "
+     "Field(m=3, prim_poly=0xB)"),
+    (X7_PLUS_1, 0, "known degree 7 must be below modulus degree 7"),
+], ids=["mixed-fields", "known-not-below", "stop-0", "stop-deg+1",
+        "stop-True", "stop-2.0", "stop-2.5", "mixed-before-degree",
+        "degree-before-stop"])
+def test_solve_key_equation_refusals(known, stop, message):
+    with pytest.raises(ValueError) as refused:
+        solve_key_equation(X7_PLUS_1, known, stop)
+    assert str(refused.value) == message
 
 
 def test_zero_known_is_trivial(gf8):
-    solution = solve_key_equation(KeyEquationProblem(
-        modulus=xn_minus_one(gf8), known=Poly(gf8), stop_degree=3))
-    assert solution.locator == Poly(gf8, [1])
-    assert solution.combination.is_zero
-    assert solution.iterations == 0
+    assert solve_key_equation(xn_minus_one(gf8), Poly(gf8), 3) == (
+        Poly(gf8, [1]), Poly(gf8), 0)
 
 
 def test_low_degree_known_needs_no_iterations(gf8):
     known = Poly(gf8, [5, 1])
-    solution = solve_key_equation(KeyEquationProblem(
-        modulus=xn_minus_one(gf8), known=known, stop_degree=5))
-    assert solution.iterations == 0
-    assert solution.locator == Poly(gf8, [1])
-    assert solution.combination == known
+    assert solve_key_equation(xn_minus_one(gf8), known, 5) == (
+        Poly(gf8, [1]), known, 0)
 
 
 def test_worked_single_error(gf8):
@@ -77,41 +77,39 @@ def test_worked_single_error(gf8):
     assert symbols == [1, 2, 4, 3, 6, 7, 5]
     symbols[2] = 0
     known = interpolate_all(gf8, symbols)
-    solution = solve_key_equation(KeyEquationProblem(
-        modulus=xn_minus_one(gf8), known=known, stop_degree=5))
+    locator, combination, iterations = solve_key_equation(
+        xn_minus_one(gf8), known, 5)
     # locator x + 4 has the single root alpha^2
-    assert solution.locator == Poly(gf8, [4, 1])
-    assert solution.iterations == 1
-    assert solution.combination == solution.locator * Poly(gf8, [0, 1])
+    assert locator == Poly(gf8, [4, 1])
+    assert iterations == 1
+    assert combination == locator * Poly(gf8, [0, 1])
 
 
 def test_congruence_postcondition(gf16):
     rng = random.Random(5)
     for _ in range(200):
-        problem = rand_problem(rng, gf16, 12)
-        solution = solve_key_equation(problem)
-        residue = (solution.locator * problem.known
-                   + solution.combination) % problem.modulus
-        assert residue.is_zero
-        assert solution.combination.degree < problem.stop_degree
-        assert solution.locator.lead == 1
+        modulus, known, stop = rand_problem(rng, gf16, 12)
+        locator, combination, _ = solve_key_equation(modulus, known, stop)
+        assert ((locator * known + combination) % modulus).is_zero
+        assert combination.degree < stop
+        assert locator.lead == 1
 
 
 def test_matches_tracked_reference(gf8, gf16):
     rng = random.Random(11)
     for field in (gf8, gf16):
         for _ in range(150):
-            problem = rand_problem(rng, field, 10)
-            if problem.known.is_zero:
+            modulus, known, stop = rand_problem(rng, field, 10)
+            if known.is_zero:
                 continue
-            solution = solve_key_equation(problem)
-            locator, combination, iterations = tracked_euclid(
+            locator, combination, iterations = solve_key_equation(
+                modulus, known, stop)
+            ref_locator, ref_combination, ref_iterations = tracked_euclid(
                 field.m, field.prim_poly,
-                list(problem.modulus.coeffs), list(problem.known.coeffs),
-                problem.stop_degree)
-            assert list(solution.locator.coeffs) == trim(locator)
-            assert list(solution.combination.coeffs) == trim(combination)
-            assert solution.iterations == iterations
+                list(modulus.coeffs), list(known.coeffs), stop)
+            assert list(locator.coeffs) == trim(ref_locator)
+            assert list(combination.coeffs) == trim(ref_combination)
+            assert iterations == ref_iterations
 
 
 def test_locator_degree_bound(gf16):
@@ -119,10 +117,9 @@ def test_locator_degree_bound(gf16):
     # degree(locator) <= degree(modulus) - stop_degree always holds
     rng = random.Random(13)
     for _ in range(200):
-        problem = rand_problem(rng, gf16, 12)
-        solution = solve_key_equation(problem)
-        assert solution.locator.degree <= (problem.modulus.degree
-                                           - problem.stop_degree)
+        modulus, known, stop = rand_problem(rng, gf16, 12)
+        locator, _, _ = solve_key_equation(modulus, known, stop)
+        assert locator.degree <= modulus.degree - stop
 
 
 GF256 = Field(8)
@@ -170,12 +167,10 @@ def test_locator_degree_bound_on_both_solve_paths(case):
     # stop_degree = ceil((deg M + k + deg factor) / 2) it caps deg W at
     # (d - 1 - l) / 2
     modulus, known, stop = case
-    solution = solve_key_equation(KeyEquationProblem(
-        modulus=Poly(GF256, modulus), known=Poly(GF256, known),
-        stop_degree=stop))
-    assert solution.locator.degree <= len(modulus) - 1 - stop
-    assert ((solution.locator.coeffs, solution.combination.coeffs,
-             solution.iterations)
+    locator, combination, iterations = solve_key_equation(
+        Poly(GF256, modulus), Poly(GF256, known), stop)
+    assert locator.degree <= len(modulus) - 1 - stop
+    assert ((locator.coeffs, combination.coeffs, iterations)
             == Reference(GF256).solve(modulus, known, stop))
 
 
@@ -202,10 +197,9 @@ def test_only_m_from_9_scales_through_multiply_rows_and_inv(m, monkeypatch):
     monkeypatch.setattr(polynomial, "multiply_rows", forbid_below_9(
         "multiply_rows", polynomial.multiply_rows))
     monkeypatch.setattr(Field, "inv", forbid_below_9("inv", Field.inv))
-    solution = solve_key_equation(KeyEquationProblem(
-        Poly(field, modulus), Poly(field, known), 1))
-    assert ((solution.locator.coeffs, solution.combination.coeffs,
-             solution.iterations) == expected)
+    locator, combination, iterations = solve_key_equation(
+        Poly(field, modulus), Poly(field, known), 1)
+    assert (locator.coeffs, combination.coeffs, iterations) == expected
     # from m = 9 on: one cofactor product per division, then the scaling
     assert calls == ([] if m <= BYTE_MAX_M else
                      ["multiply_rows"] * 3 + ["inv"] + ["multiply_rows"] * 2)
@@ -227,11 +221,11 @@ def test_truong_solves_suggesteds_problem_times_the_locator(m):
         locator = erasure_locator(params, rng.sample(range(n), l))
         received = Poly(field, [rng.randrange(field.order) for _ in range(n)])
         known, modulus, _ = codec._locator_product(received, locator)
-        truong = solve_key_equation(KeyEquationProblem(
-            modulus, known, (n + k + l + 1) // 2))
+        t_locator, t_combination, t_iterations = solve_key_equation(
+            modulus, known, (n + k + l + 1) // 2)
         known, modulus, _ = codec._reduced_modulus(received, locator)
-        suggested = solve_key_equation(KeyEquationProblem(
-            modulus, known, (n - l + k + 1) // 2))
-        assert truong.iterations == suggested.iterations
-        assert truong.locator == suggested.locator
-        assert truong.combination == locator * suggested.combination
+        s_locator, s_combination, s_iterations = solve_key_equation(
+            modulus, known, (n - l + k + 1) // 2)
+        assert t_iterations == s_iterations
+        assert t_locator == s_locator
+        assert t_combination == locator * s_combination

@@ -11,7 +11,6 @@ from rscodec import (
     DECODERS,
     CodeParams,
     Field,
-    KeyEquationProblem,
     Poly,
     ReceivedWord,
     decode_suggested,
@@ -257,16 +256,16 @@ def test_counted_kernels_count_exactly(gf8):
             dn + 1, 0)
 
     def one_step(modulus, known):
-        return solve_key_equation(KeyEquationProblem(modulus, known, 1))
+        return solve_key_equation(modulus, known, 1)
 
     # x^2 = (x + 3)(x + 3) + 5: the divisor and the last cofactor are
     # monic, so nothing is inverted
-    mults, invs, solution = counts(one_step, [0, 0, 1], [3, 1])
-    assert (mults, invs, solution.iterations) == (4, 0, 1)
-    assert solution.locator.coeffs == (3, 1)
+    mults, invs, (locator, _, iterations) = counts(one_step, [0, 0, 1], [3, 1])
+    assert (mults, invs, iterations) == (4, 0, 1)
+    assert locator.coeffs == (3, 1)
     # with known = 2x + 3 the division and the final scaling each invert
-    _, invs, solution = counts(one_step, [0, 0, 1], [3, 2])
-    assert invs == 2 and solution.locator.lead == 1
+    _, invs, (locator, _, _) = counts(one_step, [0, 0, 1], [3, 2])
+    assert invs == 2 and locator.lead == 1
 
 
 def test_counting_polys_mix_with_plain_ones(gf8):
