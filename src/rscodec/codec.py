@@ -122,10 +122,6 @@ class DecodeResult(Record):
         object.__setattr__(self, "cause", cause)
 
     @classmethod
-    def of_message(cls, message: tuple[int, ...]) -> DecodeResult:
-        return cls(message=message, cause=None)
-
-    @classmethod
     def failure(cls, cause: FailureCause) -> DecodeResult:
         return cls(message=None, cause=cause)
 
@@ -237,12 +233,12 @@ def _decode(params: CodeParams, symbols, erasures: tuple[int, ...], counter,
     with _phase(counter, "3"):
         divisor = error_locator if factor is None else error_locator * factor
         msg_poly, rem = divmod(combination, divisor)
-        if not rem.is_zero:
+        if rem:
             return DecodeResult.failure(FailureCause.DIVISION_INEXACT)
         if msg_poly.degree >= params.k:
             return DecodeResult.failure(FailureCause.DEGREE_OVERFLOW)
         padding = (0,) * (params.k - len(msg_poly.coeffs))
-        return DecodeResult.of_message(tuple(msg_poly.coeffs) + padding)
+        return DecodeResult(tuple(msg_poly.coeffs) + padding, None)
 
 
 # Steps 1 and 2a look the spectral functions up in this module's globals

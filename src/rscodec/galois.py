@@ -69,8 +69,10 @@ class Field:
         exp = [0] * (2 * self.n)
         log = [0] * self.order
         x = 1
+        # P(0) = 1 makes x a unit mod P, so its powers form a pure cycle
+        # and the first power to repeat is 1
         for i in range(self.n):
-            if log[x] != 0 or (x == 1 and i > 0):
+            if i and x == 1:
                 raise ValueError(
                     f"prim_poly 0x{prim_poly:X} is not primitive: "
                     f"alpha has order {i}")
@@ -80,8 +82,6 @@ class Field:
             x <<= 1
             if x & self.order:
                 x ^= prim_poly
-        if x != 1:
-            raise ValueError(f"prim_poly 0x{prim_poly:X} is not primitive")
         self._exp = tuple(exp)
         self._log = tuple(log)
         # every per-field cache lookup hashes the field, so hash it once

@@ -351,15 +351,6 @@ class Poly:
         """Degree of the polynomial; MINUS_INF for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else MINUS_INF
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lead(self) -> int:
-        """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else 0
-
     def _compat(self, other: Poly) -> None:
         a, b = self.field, other.field
         if a.m != b.m or a.prim_poly != b.prim_poly:
@@ -393,16 +384,13 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
-        if other.is_zero:
+        if not other:
             raise ValueError("polynomial division by zero")
         f, num, den = self.field, self.coeffs, other.coeffs
         if len(num) < len(den):  # self is zero or of lower degree
             return Poly._make(f, []), self
         quot, rem = divide_rows(f, num, den)
         return Poly._make(f, quot), Poly._make(f, rem)
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
 
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]

@@ -5,15 +5,16 @@ value vector is the spectrum of a polynomial of degree < n.  n is odd,
 which makes n * x = x in characteristic 2; the inverse transform therefore
 needs no 1/n scaling.  Both directions are the same length-n DFT over the
 powers of alpha: interpolate_all is evaluate_all of the value vector read
-at alpha^-j, so only evaluate_all chooses a path, by n:
+at alpha^-j, so only evaluate_all chooses a path, by m against
+polynomial's BYTE_MAX_M = 8:
 
-  packed table  n < PRIME_FACTOR_MIN_N = 255 (m <= 7), in pure Python.
-  byte plan     n = 255 (m = 8), a packed prime-factor transform in pure
-                Python.
-  prime-factor kernel  a composite n > 255, in numpy.  All arithmetic is
-                in the log domain: log maps 0 to 3n and exp is zero from
-                3n on, so a zero coefficient adds exp[3n + e] = 0 with no
-                mask.
+  packed table  m < BYTE_MAX_M (n <= 127), in pure Python.
+  byte plan     m = BYTE_MAX_M (n = 255), a packed prime-factor transform
+                in pure Python.
+  prime-factor kernel  m > BYTE_MAX_M with a composite n, in numpy.
+                All arithmetic is in the log domain: log maps 0 to 3n and
+                exp is zero from 3n on, so a zero coefficient adds
+                exp[3n + e] = 0 with no mask.
   computed rows  the prime n = 8191 (m = 13), which has no factors to
                 split: every row of the DFT, computed in numpy in the same
                 log domain.
@@ -67,8 +68,9 @@ comes first.  Every stage runs in chunks of output rows so that no
 temporary holds more than CHUNK_ENTRIES entries.
 
 One reader, _row_sum(field, js, values), sums chosen rows of the DFT:
-out[i] = sum over r of values[r] * alpha^(i * js[r]).  It reads packed
-rows below 255.  At 255 row j holds alpha^(i*j) in byte i, and one
+out[i] = sum over r of values[r] * alpha^(i * js[r]).  It splits by m
+as evaluate_all does.  Below BYTE_MAX_M it reads packed rows.  At
+BYTE_MAX_M, n = 255, row j holds alpha^(i*j) in byte i, and one
 bytes.translate through the byte table of a product with values[r]
 weights it.  From m = 9 on it computes the rows in numpy chunks: for
 x = i*j < n^2, x mod n is congruent to (x & n) + (x >> m), which is
@@ -128,10 +130,6 @@ from .polynomial import (BYTE_MAX_M, Poly, byte_tables, root_product,
 if TYPE_CHECKING:
     import numpy as np
 
-# Shortest n that a prime-factor transform serves: the byte plan at
-# n = 255 (m = 8), numpy's kernel from m = 9 on.  Below it the packed
-# table is faster.
-PRIME_FACTOR_MIN_N = 255
 # Most entries a kernel temporary may hold; larger stages run in chunks.
 CHUNK_ENTRIES = 1 << 20
 
@@ -158,7 +156,7 @@ def _packed_rows(field: Field, size: int, step: int
 
 @cache
 def _packed(field: Field) -> tuple[tuple[int, ...], ...]:
-    """The packed table of a field with n < 255, read-only.
+    """The packed table of a field with m < BYTE_MAX_M, read-only.
 
     Field hashes by (m, prim_poly), so each field's table is built once
     per process.
@@ -306,19 +304,19 @@ def _row_sum(field: Field, js: Sequence[int],
              values: Sequence[int]) -> Sequence[int]:
     """out[i] = sum over r of values[r] * alpha^(i * js[r]) for i in [0, n).
 
-    values are field elements.  Below n = 255 the packed rows give n
-    bytes, at 255 the translated power rows give n bytes, and from m = 9 on
-    the computed rows (see the module docstring) give a list.  Every way
-    the entries are plain ints.
+    values are field elements.  Below BYTE_MAX_M the packed rows give n
+    bytes, at BYTE_MAX_M (n = 255) the translated power rows give n bytes,
+    and above it the computed rows (see the module docstring) give a list.
+    Every way the entries are plain ints.
     """
     n = field.n
-    if n < PRIME_FACTOR_MIN_N:
+    if field.m < BYTE_MAX_M:
         rows = _packed(field)
         acc = 0
         for j, value in zip(js, values):
             acc ^= rows[j][value]
         return acc.to_bytes(n, "little")
-    if field.m <= BYTE_MAX_M:
+    if field.m == BYTE_MAX_M:
         rows, mul = _byte_plan(field).power_rows, byte_tables(field).mul
         acc = 0
         for j, value in zip(js, values):
@@ -406,9 +404,9 @@ def evaluate_all(p: Poly, n: int) -> tuple[int, ...]:
         raise ValueError(f"degree {p.degree} is not below n = {n}")
     if type(field) is not Field:  # n Horner evaluations
         field.counter.add(n * len(p.coeffs))
-    if n == PRIME_FACTOR_MIN_N:
+    if field.m == BYTE_MAX_M:
         return _byte_dft(field, p.coeffs)
-    if n > PRIME_FACTOR_MIN_N and _plan(field).tables is not None:
+    if field.m > BYTE_MAX_M and _plan(field).tables is not None:
         return tuple(_dft(field, p.coeffs).tolist())
     # the packed table, or a prime n's computed rows
     return tuple(_row_sum(field, range(len(p.coeffs)), p.coeffs))
@@ -503,11 +501,11 @@ def cyclotomic_quotient(erasure_locator: Poly) -> Poly:
     l = erasure_locator.degree
     if 1 <= l < n:
         if type(field) is not Field:  # the long division it replaces
-            inverts = 0 if erasure_locator.lead == 1 else 1
+            inverts = 0 if erasure_locator.coeffs[-1] == 1 else 1
             field.counter.add((n + 1 - l) * (l + inverts), inverts)
         return _closed_form_quotient(erasure_locator)
     quot, rem = divmod(xn_minus_one(field), erasure_locator)
-    if not rem.is_zero:
+    if rem:
         raise ValueError("locator does not divide x^n - 1")
     return quot
 

@@ -162,7 +162,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.csv is not None:
         write_csv(report, args.csv)
         print(f"wrote {args.csv}")
-    if args.l >= 1 and not report.claim_holds:
+    if not report.claim_holds:
         print("claim violated: suggested exceeded truong on trials "
               f"{report.mult_violations + report.iteration_violations}",
               file=sys.stderr)

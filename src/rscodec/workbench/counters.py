@@ -140,17 +140,6 @@ class OpCountReport:
     def claim_holds(self) -> bool:
         return not self.mult_violations and not self.iteration_violations
 
-    @property
-    def algorithms(self) -> tuple[str, ...]:
-        return tuple(self.mean_steps)
-
-
-def _profile(decoder, params: CodeParams, received) -> tuple[OpCounter, object]:
-    counter = OpCounter()
-    counted = CodeParams(CountingField(params.field, counter), params.k)
-    result = decoder(counted, received, counter=counter)
-    return counter, result
-
 
 def bench(params: CodeParams, trials: int, *, l: int = 0,
           t: int | None = None, seed: int = 0,
@@ -192,9 +181,11 @@ def bench(params: CodeParams, trials: int, *, l: int = 0,
 
         outcomes = []
         for name, decoder in DECODERS.items():
-            counter, result = _profile(decoder, params, received)
+            counter = OpCounter()
+            counted = CodeParams(CountingField(params.field, counter),
+                                 params.k)
+            outcomes.append(decoder(counted, received, counter=counter))
             counters[name].append(counter)
-            outcomes.append(result)
         results_equal.append(all(r == outcomes[0] for r in outcomes[1:]))
 
         if l >= 1:

@@ -309,10 +309,10 @@ def _poly_invariants_exhaustive(failures):
             ab = a * b
             if ab != b * a:
                 failures.append(f"poly mul commutativity {a!r} {b!r}")
-            if not a.is_zero and not b.is_zero:
+            if a and b:
                 if ab.degree != a.degree + b.degree:
                     failures.append(f"poly degree law {a!r} {b!r}")
-            if not b.is_zero:
+            if b:
                 quot, rem = divmod(a, b)
                 if quot * b + rem != a or not rem.degree < b.degree:
                     failures.append(f"poly divmod reconstruction {a!r} {b!r}")
@@ -352,7 +352,7 @@ def _poly_invariants_sampled(m, cases, failures):
             failures.append(f"GF(2^{m}) poly distributivity")
         if (a + b) + b != a:
             failures.append(f"GF(2^{m}) poly addition not involutive")
-        if not b.is_zero:
+        if b:
             quot, rem = divmod(a, b)
             if quot * b + rem != a or not rem.degree < b.degree:
                 failures.append(f"GF(2^{m}) poly divmod reconstruction")

@@ -5,9 +5,13 @@ perfbench/tracing.py replaces functions in rscodec.codec's globals and
 methods on Poly for the traced phase, and its layer metrics read one span
 per wrapped name.  A pipeline that stops calling one of them through that
 name would leave its span empty, so this runs each pipeline under the
-wrappers and asks for every span.
+wrappers and asks for every span.  It also imports perfbench's measure,
+which imports the rest of the benchmark and every rscodec name the
+untraced run uses, so removing one of those names fails here too.
 """
 
+import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -20,14 +24,24 @@ from rscodec.workbench import ChannelSpec, corrupt
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import tracing
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return tracing
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return perfbench_module("tracing")
+
+
+def test_the_benchmark_imports():
+    measure = perfbench_module("measure")
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    assert ({w["name"] for w in declared["workloads"]}
+            <= set(measure.spec.WORKLOADS))
 
 
 @pytest.mark.parametrize("m, k", [(4, 7), (8, 223)],

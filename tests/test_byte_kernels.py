@@ -95,7 +95,7 @@ def test_scaling_matches_counted(case, c):
     fast = fa * Poly(FIELDS[m], [c])
     assert fast.coeffs == Reference(FIELDS[m]).scale(a, c)
     assert plain_ints(fast)
-    assert fast.is_zero == (c == 0 or fa.is_zero)
+    assert (not fast) == (c == 0 or not fa)
 
 
 # root_product leaves the byte loop above BYTE_MAX_M for multiply_rows, so
@@ -124,7 +124,7 @@ def test_root_product_matches_counted(case):
     fast = root_product(field, exponents)
     assert fast.coeffs == Reference(field).root_product(exponents)
     assert plain_ints(fast)
-    assert len(fast.coeffs) == len(exponents) + 1 and fast.lead == 1
+    assert len(fast.coeffs) == len(exponents) + 1 and fast.coeffs[-1] == 1
 
 
 @st.composite

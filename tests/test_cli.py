@@ -195,6 +195,16 @@ def test_bench_command(tmp_path, capsys):
     assert header == "algorithm,step,mults,invs,iterations"
 
 
+def test_bench_reports_a_violated_claim(capsys):
+    # at RS(255, 127) with l = 32 and few errors suggested's reduction in
+    # step 2a costs more multiplications than it saves in steps 2b and 3
+    assert main(["bench", "--m", "8", "--k", "127", "--l", "32",
+                 "--trials", "1", "--seed", "88"]) == 1
+    out, err = capsys.readouterr()
+    assert "suggested <= truong (mults and iterations): VIOLATED" in out
+    assert "claim violated: suggested exceeded truong on trials (0,)" in err
+
+
 def test_bench_rejects_bad_shape(capsys):
     assert main(["bench", "--m", "3", "--k", "3", "--l", "9",
                  "--trials", "2"]) == 2
@@ -327,6 +337,7 @@ def test_line_ending_variants_decode(tmp_path, text, capsys):
     (" \t\n  \n", "missing header line"),
     ("rs 99999999999 5 99999999999 0x11d\n", "bad code parameters"),
     (f"rs 7 {10**20} 3 0xb\n0 0 0 0 0 0 0\n", "bad code parameters"),
+    ("rs 7 3 4 0x13\n1 2 3 4 5 6 7\n", "header says n = 7 but m = 4 gives 15"),
     ("rs 7 3 3 0xb\n0 2 3 3 0\n", "line 2: expected 7 symbols, got 5"),
     # str.split() takes NBSP, \v, \f and \x1c-\x1f for separators too
     ("rs\xa07\xa03\xa03\xa00xb\n0 2 3 3 0 1 2\n", "expected header"),
@@ -344,14 +355,16 @@ def test_line_ending_variants_decode(tmp_path, text, capsys):
      f"line 2: bad symbol '{'9' * 5000}'"),
     ("rs 7 3 3 0xb\n0 2 3 3 0 1 8\n",
      "line 2: field element 8 is outside GF(2^3)"),
-], ids=["blank-header", "huge-header", "huge-k", "truncated-last-line",
-        "nbsp-header", "nbsp-symbols", "vt-symbols", "fs-line", "ff-line",
-        "cr-line", "mark-suffix", "double-mark", "mark-prefix",
-        "superscript", "5000-digits", "outside-field"])
+], ids=["blank-header", "huge-header", "huge-k", "n-not-of-m",
+        "truncated-last-line", "nbsp-header", "nbsp-symbols", "vt-symbols",
+        "fs-line", "ff-line", "cr-line", "mark-suffix", "double-mark",
+        "mark-prefix", "superscript", "5000-digits", "outside-field"])
 def test_malformed_block_file_is_rejected(tmp_path, text, message, capsys):
     path = write_lines(tmp_path / "blocks.txt", text)
     assert main(["decode", "--in", path]) == 2
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
 
 
 def test_message_separators_are_space_or_tab(tmp_path, monkeypatch, capsys):

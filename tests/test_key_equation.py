@@ -90,9 +90,9 @@ def test_congruence_postcondition(gf16):
     for _ in range(200):
         modulus, known, stop = rand_problem(rng, gf16, 12)
         locator, combination, _ = solve_key_equation(modulus, known, stop)
-        assert ((locator * known + combination) % modulus).is_zero
+        assert not (locator * known + combination) % modulus
         assert combination.degree < stop
-        assert locator.lead == 1
+        assert locator.coeffs[-1] == 1
 
 
 def test_matches_tracked_reference(gf8, gf16):
@@ -100,7 +100,7 @@ def test_matches_tracked_reference(gf8, gf16):
     for field in (gf8, gf16):
         for _ in range(150):
             modulus, known, stop = rand_problem(rng, field, 10)
-            if known.is_zero:
+            if not known:
                 continue
             locator, combination, iterations = solve_key_equation(
                 modulus, known, stop)

@@ -25,8 +25,7 @@ def test_zero_degree_is_sentinel(gf8):
     zero = Poly(gf8)
     assert zero.degree == MINUS_INF
     assert zero.degree < 0
-    assert zero.is_zero
-    assert zero.lead == 0
+    assert zero.coeffs == ()
     assert not zero
     assert Poly(gf8, [3]).degree == 0
     assert Poly(gf8, [0, 0, 1]).degree == 2
@@ -94,12 +93,12 @@ def test_divmod_reconstruction(m):
     for _ in range(400):
         num = rand_poly(rng, field, 10)
         den = rand_poly(rng, field, 5)
-        if den.is_zero:
+        if not den:
             continue
         quot, rem = divmod(num, den)
         assert quot * den + rem == num
         assert rem.degree < den.degree
-        assert num // den == quot
+        assert divmod(num - rem, den) == (quot, Poly(field))
         assert num % den == rem
 
 
@@ -108,7 +107,7 @@ def test_divmod_against_reference(gf16):
     for _ in range(300):
         num = rand_poly(rng, gf16, 9)
         den = rand_poly(rng, gf16, 4)
-        if den.is_zero:
+        if not den:
             continue
         quot, rem = slow_divmod(4, gf16.prim_poly,
                                 list(num.coeffs), list(den.coeffs))
@@ -152,7 +151,7 @@ def test_evaluate_matches_reference_and_is_homomorphic(gf8):
 def test_scale(gf8):
     p = Poly(gf8, [1, 2, 3])
     assert p * Poly(gf8, [1]) == p
-    assert (p * Poly(gf8, [0])).is_zero
+    assert not p * Poly(gf8, [0])
     doubled = p * Poly(gf8, [2])
     assert doubled == Poly(gf8, [gf8.mul(2, c) for c in p.coeffs])
 

@@ -153,11 +153,19 @@ def test_cyclotomic_quotient_full_and_empty(gf8):
     assert cyclotomic_quotient(Poly(gf8, [1])).degree == 7
 
 
-def test_cyclotomic_quotient_rejects_non_divisors(gf8):
+@pytest.mark.parametrize("field", [Field(3), CountingField(Field(3), OpCounter())],
+                         ids=["plain", "counting"])
+def test_cyclotomic_quotient_rejects_non_divisors(field):
+    n = field.n
     with pytest.raises(ValueError, match="does not divide"):
-        cyclotomic_quotient(Poly(gf8, [0, 1]))  # x has root 0
+        cyclotomic_quotient(Poly(field, [0, 1]))  # x has root 0
     with pytest.raises(ValueError, match="does not divide"):
-        cyclotomic_quotient(Poly(gf8, [1, 0, 1]))  # (x + 1)^2 repeats a root
+        cyclotomic_quotient(Poly(field, [1, 0, 1]))  # (x + 1)^2 repeats a root
+    # from degree n on the long division's remainder refuses
+    with pytest.raises(ValueError, match="does not divide"):
+        cyclotomic_quotient(Poly(field, [1, 1] + [0] * (n - 2) + [1]))
+    with pytest.raises(ValueError, match="does not divide"):
+        cyclotomic_quotient(locator_for(field, range(n)) * Poly(field, [1, 1]))
 
 
 @pytest.mark.parametrize("m", [3, 4])

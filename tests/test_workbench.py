@@ -265,7 +265,7 @@ def test_counted_kernels_count_exactly(gf8):
     assert locator.coeffs == (3, 1)
     # with known = 2x + 3 the division and the final scaling each invert
     _, invs, (locator, _, _) = counts(one_step, [0, 0, 1], [3, 2])
-    assert invs == 2 and locator.lead == 1
+    assert invs == 2 and locator.coeffs[-1] == 1
 
 
 def test_counting_polys_mix_with_plain_ones(gf8):
@@ -347,7 +347,7 @@ def test_bench_pins_the_paper_counts(shape, counts):
                    round(report.trials * sum(
                        step.invs for step in report.mean_steps[name].values())),
                    sum(report.trial_iterations[name]))
-            for name in report.algorithms} == counts
+            for name in report.mean_steps} == counts
     assert report.claim_holds
 
 
